@@ -46,7 +46,7 @@ pub const LIS008: Code = Code(8);
 /// Chain-link validity: superblock successor hints are trusted without
 /// entry-PC validation, or a deferred PC store escapes a chain boundary.
 pub const LIS009: Code = Code(9);
-/// Demotion totality: a compiled cell has no faithful Cached/Interpreted
+/// Demotion totality: a compiled cell has no faithful Interpreted
 /// equivalent for the supervision ladder to demote into.
 pub const LIS010: Code = Code(10);
 
@@ -272,12 +272,12 @@ pub const PASSES: &[PassInfo] = &[
     PassInfo {
         code: LIS010,
         name: "demotion-totality",
-        short: "every compiled cell must have faithful Cached and Interpreted equivalents",
-        help: "The supervision ladder demotes Compiled to Cached to Interpreted; that is only \
-               safe if each translated instruction replays to the same decode frame and \
-               dispatches the specification's own action chain, so the rungs below execute \
-               identical semantics. A chain that drifts from the spec, an incomplete decode \
-               replay, or a ladder with a missing rung would demote into a hole.",
+        short: "every compiled cell must have a faithful Interpreted equivalent",
+        help: "The supervision ladder demotes Compiled to Interpreted; that is only safe if \
+               each translated instruction replays to the same decode frame and dispatches \
+               the specification's own action chain, so the rung below executes identical \
+               semantics. A chain that drifts from the spec, an incomplete decode replay, or \
+               a ladder with a missing rung would demote into a hole.",
         levels: "error",
     },
 ];

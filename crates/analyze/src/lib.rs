@@ -23,7 +23,7 @@
 //! | `LIS007` | reg-backing-consistency   | error    | is every lowered register access covered by a validated backing? |
 //! | `LIS008` | specialized-undo-coverage | error    | does specialization keep undo exactly when speculation needs it? |
 //! | `LIS009` | chain-link-validity       | error    | are link hints re-validated and PC stores chain-bounded? |
-//! | `LIS010` | demotion-totality         | error    | can every compiled cell demote to faithful cached/interpreted rungs? |
+//! | `LIS010` | demotion-totality         | error    | can every compiled cell demote to a faithful interpreted rung? |
 //!
 //! Entry points: [`analyze`] (buildset-level passes for one matrix cell),
 //! [`analyze_isa`] (specification self-check), [`analyze_translation`]

@@ -418,12 +418,12 @@ pub fn pass_links(isa: &IsaSpec, bs: &BuildsetDef, view: &TranslationView) -> Ve
 
 /// LIS010 — demotion totality.
 ///
-/// The supervision ladder (Compiled → Cached → Interpreted) is only safe if
-/// every rung executes identical semantics: the view must cover exactly the
+/// The supervision ladder (Compiled → Interpreted) is only safe if both
+/// rungs execute identical semantics: the view must cover exactly the
 /// specification's instruction table, each translation's chain must be the
 /// spec's own flattened chain partitioned without gaps, each decode replay
-/// must be complete, and the ladder itself must reach the interpreted
-/// bottom through the cached middle.
+/// must be complete, and the ladder itself must lead from the compiled top
+/// to the interpreted bottom.
 pub fn pass_demotion(isa: &IsaSpec, bs: &BuildsetDef, view: &TranslationView) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let mk = |inst, message: String, help: &str| Diagnostic {
@@ -460,17 +460,15 @@ pub fn pass_demotion(isa: &IsaSpec, bs: &BuildsetDef, view: &TranslationView) ->
         return out;
     }
 
-    let first = view.ladder.first().copied();
-    let last = view.ladder.last().copied();
-    if first != Some("compiled") || last != Some("interpreted") || !view.ladder.contains(&"cached")
-    {
+    if view.ladder != ["compiled", "interpreted"] {
         out.push(mk(
             None,
-            format!("demotion ladder `{}` does not reach interpreted via cached", {
+            format!(
+                "demotion ladder `{}` does not lead from compiled to interpreted",
                 view.ladder.join(" -> ")
-            }),
-            "every compiled cell needs reachable Cached and Interpreted equivalents so \
-             supervision never demotes into a hole",
+            ),
+            "every compiled cell needs a reachable Interpreted equivalent so supervision \
+             never demotes into a hole",
         ));
     }
 
@@ -480,7 +478,7 @@ pub fn pass_demotion(isa: &IsaSpec, bs: &BuildsetDef, view: &TranslationView) ->
                 Some(t.name),
                 "translated action chain is not the specification's own flattened chain".into(),
                 "the compiled backend may reorder dispatch, not semantics: demoting to \
-                 cached/interpreted must re-execute the identical actions",
+                 interpreted must re-execute the identical actions",
             ));
         }
         let partition_ok = t.pre_hi <= t.mid_lo

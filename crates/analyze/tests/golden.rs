@@ -352,7 +352,7 @@ fn lis010_skewed_chain_and_truncated_ladder() {
     let diags = mutated_diags("one-min", ViewMutation::TruncateLadder);
     let d = diags.iter().find(|d| d.code == LIS010).expect("ladder finding");
     assert_eq!(d.inst, None);
-    assert!(d.message.contains("does not reach interpreted"), "{}", d.message);
+    assert!(d.message.contains("does not lead from compiled to interpreted"), "{}", d.message);
 }
 
 // Pinned renderer output for a translation finding — fully deterministic
@@ -363,17 +363,17 @@ fn translation_finding_render_golden() {
     assert_eq!(diags.len(), 1, "{diags:?}");
     assert_eq!(
         render_text(&diags),
-        "LIS010 error [alpha/one-min] demotion ladder `compiled -> cached` does not reach \
-         interpreted via cached\n\
-         \x20 = help: every compiled cell needs reachable Cached and Interpreted equivalents \
-         so supervision never demotes into a hole\n"
+        "LIS010 error [alpha/one-min] demotion ladder `compiled` does not lead from \
+         compiled to interpreted\n\
+         \x20 = help: every compiled cell needs a reachable Interpreted equivalent so \
+         supervision never demotes into a hole\n"
     );
     assert_eq!(
         render_json(&diags),
         "{\"code\":\"LIS010\",\"severity\":\"error\",\"isa\":\"alpha\",\
-         \"buildset\":\"one-min\",\"message\":\"demotion ladder `compiled -> cached` does \
-         not reach interpreted via cached\",\"help\":\"every compiled cell needs reachable \
-         Cached and Interpreted equivalents so supervision never demotes into a hole\"}\n"
+         \"buildset\":\"one-min\",\"message\":\"demotion ladder `compiled` does not lead \
+         from compiled to interpreted\",\"help\":\"every compiled cell needs a reachable \
+         Interpreted equivalent so supervision never demotes into a hole\"}\n"
     );
 }
 

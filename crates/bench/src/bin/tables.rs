@@ -55,7 +55,7 @@ fn table1_cmd() {
 
 fn table2_cmd() {
     eprintln!("measuring 12 interfaces x 3 ISAs (this takes a little while)...");
-    let t2 = table2(Backend::Cached);
+    let t2 = table2(Backend::Compiled);
     print!("{}", render_table2(&t2));
     println!();
     print!("{}", render_table3(&table3(&t2)));
@@ -72,7 +72,7 @@ fn table2_cmd() {
 
 fn table3_cmd() {
     eprintln!("measuring the interfaces Table III depends on...");
-    let t2 = table2(Backend::Cached);
+    let t2 = table2(Backend::Compiled);
     print!("{}", render_table3(&table3(&t2)));
 }
 
@@ -100,38 +100,32 @@ fn orgs_cmd() {
 
 fn ablate_cmd() {
     eprintln!("footnote 5: backend base cost on one-min, plus block interfaces...");
-    println!("Backend ablation (one/min interface): cached | interpreted | compiled");
-    println!(
-        "{:<8} {:>12} {:>12} {:>12} {:>10} {:>10}",
-        "ISA", "cached", "interp", "compiled", "cach/int", "comp/cach"
-    );
-    for (isa, m) in backend_ablation() {
+    println!("Backend ablation (one/min interface): interpreted | compiled");
+    println!("{:<8} {:>12} {:>12} {:>10}", "ISA", "interp", "compiled", "comp/int");
+    for (isa, [interp, compiled]) in backend_ablation() {
         println!(
-            "{:<8} {:>12.2} {:>12.2} {:>12.2} {:>9.2}x {:>9.2}x",
+            "{:<8} {:>12.2} {:>12.2} {:>9.2}x",
             isa,
-            m[0].mips,
-            m[1].mips,
-            m[2].mips,
-            m[0].mips / m[1].mips,
-            m[2].mips / m[0].mips
+            interp.mips,
+            compiled.mips,
+            compiled.mips / interp.mips
         );
     }
     println!("(paper footnote 5: interpreted base cost ~2x the translated base cost)");
     println!();
     println!("Block-interface ablation (superblock chaining + publication elision)");
     println!(
-        "{:<8} {:<14} {:>12} {:>12} {:>12} {:>10}",
-        "ISA", "interface", "cached", "interp", "compiled", "comp/cach"
+        "{:<8} {:<14} {:>12} {:>12} {:>10}",
+        "ISA", "interface", "interp", "compiled", "comp/int"
     );
-    for (isa, bs, mips) in block_backend_ablation() {
+    for (isa, bs, [interp, compiled]) in block_backend_ablation() {
         println!(
-            "{:<8} {:<14} {:>12.2} {:>12.2} {:>12.2} {:>9.2}x",
+            "{:<8} {:<14} {:>12.2} {:>12.2} {:>9.2}x",
             isa,
             bs,
-            mips[0],
-            mips[1],
-            mips[2],
-            mips[2] / mips[0]
+            interp,
+            compiled,
+            compiled / interp
         );
     }
 }

@@ -8,8 +8,8 @@
 //! * **Table III** — the cost of detail, as base-plus-increment costs per
 //!   simulated instruction;
 //! * **Figure 1** — the five decoupled organizations, run side by side;
-//! * **Footnote 5** — interpreted vs block-cached (binary-translation
-//!   analog) base cost.
+//! * **Footnote 5** — interpreted vs compiled (binary-translation analog)
+//!   base cost.
 //!
 //! Run `cargo run -p lis-bench --release --bin tables -- all` to regenerate
 //! everything. Absolute numbers are host-dependent; the paper's *shape*
@@ -344,42 +344,25 @@ pub fn render_table1() -> String {
     out
 }
 
-/// Backends in ablation order, with their report names.
-pub const ABLATION_BACKENDS: [(&str, Backend); 3] = [
-    ("cached", Backend::Cached),
-    ("interpreted", Backend::Interpreted),
-    ("compiled", Backend::Compiled),
-];
-
 /// Footnote 5, extended: per-backend base cost. For each ISA, the `one-min`
-/// interface measured on every backend, in [`ABLATION_BACKENDS`] order
-/// (cached, interpreted, compiled). The compiled backend's superblock
-/// chaining shows up here; the block interfaces (where publication is also
-/// elided) are ablated by `lis sweep --backends all --time`.
-pub fn backend_ablation() -> Vec<(&'static str, [Measurement; 3])> {
+/// interface measured on every backend, in [`Backend::ALL`] order
+/// (interpreted, compiled). The block interfaces, where superblock chaining
+/// and publication elision also apply, are ablated by
+/// [`block_backend_ablation`].
+pub fn backend_ablation() -> Vec<(&'static str, [Measurement; 2])> {
     ISAS.iter()
-        .map(|isa| {
-            let m: Vec<Measurement> = ABLATION_BACKENDS
-                .iter()
-                .map(|&(_, b)| measure(isa, lis_core::ONE_MIN, b))
-                .collect();
-            (*isa, [m[0], m[1], m[2]])
-        })
+        .map(|isa| (*isa, Backend::ALL.map(|b| measure(isa, lis_core::ONE_MIN, b))))
         .collect()
 }
 
 /// The block-interface ablation behind the compiled backend's headline
 /// claim: `block-min` and `block-decode` wall-clock per backend. Returns
-/// `(isa, buildset, [cached, interpreted, compiled] MIPS)` rows.
-pub fn block_backend_ablation() -> Vec<(&'static str, &'static str, [f64; 3])> {
+/// `(isa, buildset, [interpreted, compiled] MIPS)` rows.
+pub fn block_backend_ablation() -> Vec<(&'static str, &'static str, [f64; 2])> {
     let mut out = Vec::new();
     for isa in ISAS {
         for bs in [lis_core::BLOCK_MIN, lis_core::BLOCK_DECODE] {
-            let mut mips = [0.0f64; 3];
-            for (k, &(_, backend)) in ABLATION_BACKENDS.iter().enumerate() {
-                mips[k] = measure(isa, bs, backend).mips;
-            }
-            out.push((isa, bs.name, mips));
+            out.push((isa, bs.name, Backend::ALL.map(|b| measure(isa, bs, b).mips)));
         }
     }
     out

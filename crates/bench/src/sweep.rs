@@ -17,20 +17,19 @@
 //! all deterministic counters — normalized to the `block-min` cell of the
 //! same (ISA, kernel, backend) block, the paper's 1.0 baseline. Because no
 //! wall-clock enters the metric, `BENCH_sweep.json` is byte-identical across
-//! repeated runs, hosts, and any `--jobs` count. Wall-clock MIPS can be
-//! added per cell with [`SweepConfig::measure_time`], which is explicitly
-//! opt-in because it forfeits that guarantee.
+//! repeated runs, hosts, and any `--jobs` count. Wall-clock speed is the
+//! repository benchmark's job (`benchmark/`), not the sweep's.
 
 use crate::semantic_rank;
 use lis_core::{BuildsetDef, JsonObj, STANDARD_BUILDSETS};
-use lis_harness::{backend_name, Watchdog};
+use lis_harness::Watchdog;
 use lis_runtime::{Backend, SimStats, SimStop, Simulator};
 use lis_timing::{run_functional_first_ooo, CoreConfig, OooConfig, TimingConfig, TimingReport};
 use lis_workloads::{spec_of, suite_of, ISAS};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The buildset every block is normalized against (the paper's 1.0 row).
 pub const BASELINE_BUILDSET: &str = "block-min";
@@ -47,17 +46,13 @@ pub struct SweepConfig {
     /// Kernel subset (empty = the full suite). Names are validated before
     /// any thread spawns.
     pub kernels: Vec<String>,
-    /// Backends to sweep (default: cached only).
+    /// Backends to sweep (default: compiled only).
     pub backends: Vec<Backend>,
     /// Per-cell instruction budget (kernels halt far below it; the budget
     /// is a runaway guard, not a truncation).
     pub max_insts: u64,
     /// Per-cell wall-clock watchdog; a wedged cell is marked, not hung on.
     pub deadline: Option<Duration>,
-    /// Include wall-clock timing (per-cell seconds and MIPS, pool size,
-    /// elapsed) in the JSON. Off by default: timing is host noise and
-    /// breaks the bit-identical-output guarantee.
-    pub measure_time: bool,
     /// Extra attempts for a cell whose run panics. Each retry runs one rung
     /// down the backend demotion ladder after a deterministic backoff; a
     /// cell that exhausts the budget is reported crashed, and the pool
@@ -79,10 +74,9 @@ impl Default for SweepConfig {
         SweepConfig {
             jobs: 0,
             kernels: Vec::new(),
-            backends: vec![Backend::Cached],
+            backends: vec![Backend::Compiled],
             max_insts: 50_000_000,
             deadline: Some(Duration::from_secs(120)),
-            measure_time: false,
             retries: 2,
             panic_cell: None,
             timings: vec![TimingConfig::CLASSIC],
@@ -135,8 +129,6 @@ pub struct CellResult {
     /// Out-of-order model report under `timing` (absent when the functional
     /// pass faulted, wedged, or crashed).
     pub timing_report: Option<TimingReport>,
-    /// Wall-clock seconds for the cell (reported only with `measure_time`).
-    pub secs: f64,
     /// Attempts that panicked before this result (0 for a clean cell).
     pub crashes: u32,
     /// Rendered crash messages, one per failed attempt.
@@ -174,10 +166,6 @@ pub struct SweepReport {
     pub max_insts: u64,
     /// Worker threads used.
     pub jobs: usize,
-    /// Whole-sweep wall-clock seconds.
-    pub elapsed_secs: f64,
-    /// Whether timing fields belong in the JSON.
-    pub measure_time: bool,
 }
 
 /// Resolves a requested job count against the cell count: 0 means one per
@@ -261,7 +249,7 @@ pub fn sweep_cells(
 
 /// Canonical `isa/buildset/kernel/backend` label of a cell.
 fn cell_label(cell: &SweepCell) -> String {
-    format!("{}/{}/{}/{}", cell.isa, cell.buildset.name, cell.kernel, backend_name(cell.backend))
+    format!("{}/{}/{}/{}", cell.isa, cell.buildset.name, cell.kernel, cell.backend.name())
 }
 
 /// FNV-1a over the cell label: a stable backoff seed that depends only on
@@ -301,7 +289,6 @@ fn run_cell(cell: &SweepCell, cfg: &SweepConfig, attempt: u32) -> CellResult {
     sim.load_program(&image).expect("suite kernels load");
 
     let mut watchdog = Watchdog::new(cfg.deadline);
-    let t0 = Instant::now();
     let mut deadline_expired = false;
     let mut fault = None;
     loop {
@@ -330,36 +317,9 @@ fn run_cell(cell: &SweepCell, cfg: &SweepConfig, attempt: u32) -> CellResult {
             }
         }
     }
-    let mut secs = t0.elapsed().as_secs_f64();
     let stats = sim.stats;
     let halted = sim.state.halted;
     let exit_code = sim.state.exit_code;
-    // With `--time`, a single pass over these kernels (a few thousand
-    // dynamic instructions) is dominated by construction and translation,
-    // not execution. Re-run the program to a steady-state instruction
-    // floor, timing only the execution, and scale `secs` so the cell's
-    // insts/secs is the steady-state rate. The deterministic counters
-    // above are untouched — they come from the first, canonical pass.
-    if cfg.measure_time && fault.is_none() && !deadline_expired && halted {
-        const TIME_FLOOR: u64 = 1_000_000;
-        let mut timed_insts = 0u64;
-        let mut timed_secs = 0.0f64;
-        while timed_insts < TIME_FLOOR && !watchdog.expired() {
-            if sim.reset_program(&image).is_err() {
-                break;
-            }
-            let before = sim.stats.insts;
-            let t1 = Instant::now();
-            if sim.run_to_halt(cfg.max_insts).is_err() {
-                break;
-            }
-            timed_secs += t1.elapsed().as_secs_f64();
-            timed_insts += sim.stats.insts - before;
-        }
-        if timed_insts > 0 && timed_secs > 0.0 {
-            secs = stats.insts as f64 * timed_secs / timed_insts as f64;
-        }
-    }
     let units_per_inst =
         if stats.insts == 0 { 0.0 } else { stats.detail_units() as f64 / stats.insts as f64 };
     // Re-time the kernel under the cell's preset: a separate functional-first
@@ -386,7 +346,6 @@ fn run_cell(cell: &SweepCell, cfg: &SweepConfig, attempt: u32) -> CellResult {
         ratio: 0.0,
         timing: cell.timing,
         timing_report,
-        secs,
         crashes: 0,
         crash: None,
     }
@@ -424,7 +383,6 @@ fn run_cell_isolated(cell: &SweepCell, cfg: &SweepConfig) -> CellResult {
             ratio: 0.0,
             timing: cell.timing,
             timing_report: None,
-            secs: 0.0,
             crashes,
             crash,
         },
@@ -456,7 +414,6 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<SweepReport, String> {
     let kernels = resolve_kernels(&cfg.kernels)?;
     let cells = sweep_cells(&kernels, &cfg.backends, &cfg.timings);
     let jobs = resolve_jobs(cfg.jobs, cells.len());
-    let t0 = Instant::now();
 
     // Work sharing: workers pull the next cell index from a shared counter,
     // so a slow cell (step-all-spec) never serializes the fast ones behind
@@ -492,15 +449,12 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<SweepReport, String> {
     let mut baseline: HashMap<(&str, &str, &str, &str), f64> = HashMap::new();
     for c in &results {
         if c.buildset == BASELINE_BUILDSET {
-            baseline.insert(
-                (c.isa, c.kernel, backend_name(c.backend), c.timing.name),
-                c.units_per_inst,
-            );
+            baseline.insert((c.isa, c.kernel, c.backend.name(), c.timing.name), c.units_per_inst);
         }
     }
     for c in &mut results {
         let base = baseline
-            .get(&(c.isa, c.kernel, backend_name(c.backend), c.timing.name))
+            .get(&(c.isa, c.kernel, c.backend.name(), c.timing.name))
             .copied()
             .unwrap_or_default();
         c.ratio = if base > 0.0 { c.units_per_inst / base } else { 0.0 };
@@ -532,8 +486,6 @@ pub fn run_sweep(cfg: &SweepConfig) -> Result<SweepReport, String> {
         timings: cfg.timings.clone(),
         max_insts: cfg.max_insts,
         jobs,
-        elapsed_secs: t0.elapsed().as_secs_f64(),
-        measure_time: cfg.measure_time,
     })
 }
 
@@ -550,7 +502,7 @@ fn json_str_array<S: AsRef<str>>(items: &[S]) -> String {
 }
 
 /// Renders the whole sweep as one JSON document (`BENCH_sweep.json`).
-/// Deterministic by construction unless `measure_time` was set.
+/// Deterministic by construction.
 pub fn to_json(r: &SweepReport) -> String {
     let mut o = JsonObj::new();
     o.str("schema", "lis-sweep-v1");
@@ -561,16 +513,9 @@ pub fn to_json(r: &SweepReport) -> String {
         &json_str_array(&STANDARD_BUILDSETS.iter().map(|b| b.name).collect::<Vec<_>>()),
     );
     o.raw("kernels", &json_str_array(&r.kernels));
-    o.raw(
-        "backends",
-        &json_str_array(&r.backends.iter().map(|b| backend_name(*b)).collect::<Vec<_>>()),
-    );
+    o.raw("backends", &json_str_array(&r.backends.iter().map(|b| b.name()).collect::<Vec<_>>()));
     o.raw("timings", &json_str_array(&r.timings.iter().map(|t| t.name).collect::<Vec<_>>()));
     o.u64("max_insts", r.max_insts);
-    if r.measure_time {
-        o.u64("jobs", r.jobs as u64);
-        o.f64("elapsed_secs", r.elapsed_secs);
-    }
 
     let mut cells = String::from("[");
     for (i, c) in r.cells.iter().enumerate() {
@@ -581,7 +526,7 @@ pub fn to_json(r: &SweepReport) -> String {
         co.str("isa", c.isa)
             .str("buildset", c.buildset)
             .str("kernel", c.kernel)
-            .str("backend", backend_name(c.backend))
+            .str("backend", c.backend.name())
             .bool("halted", c.halted)
             .i64("exit_code", c.exit_code)
             .u64("detail_units", c.stats.detail_units())
@@ -616,10 +561,6 @@ pub fn to_json(r: &SweepReport) -> String {
                 co.str("crash", msg);
             }
         }
-        if r.measure_time {
-            co.f64("secs", c.secs);
-            co.f64("mips", c.stats.insts as f64 / c.secs.max(1e-9) / 1e6);
-        }
         cells.push_str(&co.finish());
     }
     cells.push(']');
@@ -631,7 +572,7 @@ pub fn to_json(r: &SweepReport) -> String {
             table.push(',');
         }
         let mut to = JsonObj::new();
-        to.str("buildset", row.buildset).str("backend", backend_name(row.backend));
+        to.str("buildset", row.buildset).str("backend", row.backend.name());
         for (k, isa) in ISAS.iter().enumerate() {
             to.f64(&format!("units_per_inst_{isa}"), row.units_per_inst[k]);
             to.f64(&format!("ratio_{isa}"), row.ratio[k]);
@@ -651,10 +592,7 @@ pub fn to_json(r: &SweepReport) -> String {
 pub fn backend_json(r: &SweepReport) -> String {
     let mut o = JsonObj::new();
     o.str("schema", "lis-backend-v1");
-    o.raw(
-        "backends",
-        &json_str_array(&r.backends.iter().map(|b| backend_name(*b)).collect::<Vec<_>>()),
-    );
+    o.raw("backends", &json_str_array(&r.backends.iter().map(|b| b.name()).collect::<Vec<_>>()));
     let mut rows = String::from("[");
     let mut first = true;
     for &backend in &r.backends {
@@ -663,7 +601,7 @@ pub fn backend_json(r: &SweepReport) -> String {
         let total_insts: u64 =
             r.cells.iter().filter(|c| c.backend == backend).map(|c| c.stats.insts).sum();
         let mut bo = JsonObj::new();
-        bo.str("backend", backend_name(backend))
+        bo.str("backend", backend.name())
             .str("buildset", "*")
             .u64("detail_units", total_units)
             .u64("insts", total_insts)
@@ -678,7 +616,7 @@ pub fn backend_json(r: &SweepReport) -> String {
             let units: u64 = r.cells.iter().filter(sel).map(|c| c.stats.detail_units()).sum();
             let insts: u64 = r.cells.iter().filter(sel).map(|c| c.stats.insts).sum();
             let mut bo = JsonObj::new();
-            bo.str("backend", backend_name(backend))
+            bo.str("backend", backend.name())
                 .str("buildset", bs.name)
                 .u64("detail_units", units)
                 .u64("insts", insts)
@@ -725,8 +663,7 @@ pub fn render_markdown(r: &SweepReport) -> String {
 
     for &backend in &r.backends {
         let rows: Vec<&RatioRow> = r.table.iter().filter(|row| row.backend == backend).collect();
-        let _ =
-            writeln!(out, "## Table II analog: detail cost ({} backend)\n", backend_name(backend));
+        let _ = writeln!(out, "## Table II analog: detail cost ({} backend)\n", backend.name());
         let _ = writeln!(
             out,
             "Deterministic interface-work units per instruction (calls + published \
@@ -767,7 +704,7 @@ pub fn render_markdown(r: &SweepReport) -> String {
         let _ = writeln!(
             out,
             "## Table III analog: incremental cost of detail ({} backend)\n",
-            backend_name(backend)
+            backend.name()
         );
         let get = |name: &str| -> [f64; 3] {
             rows.iter()
@@ -817,7 +754,7 @@ pub fn render_markdown(r: &SweepReport) -> String {
              preset-independent. Geomean IPC over kernels, `{}` buildset, `{}` \
              backend.\n",
             BASELINE_BUILDSET,
-            backend_name(r.backends[0])
+            r.backends[0].name()
         );
         let _ = writeln!(
             out,
@@ -851,106 +788,6 @@ pub fn render_markdown(r: &SweepReport) -> String {
         out.push('\n');
     }
 
-    if r.measure_time && r.backends.len() > 1 {
-        let _ = writeln!(out, "## Backend ablation: wall-clock speed\n");
-        let _ = writeln!(
-            out,
-            "Geometric-mean MIPS over ISAs and kernels per backend (host-dependent, \
-             unlike the unit tables above); speedup is relative to `cached`.\n"
-        );
-        let mips_of = |bs_name: &str, backend: Backend| -> f64 {
-            let v: Vec<f64> = r
-                .cells
-                .iter()
-                .filter(|c| c.buildset == bs_name && c.backend == backend && c.secs > 0.0)
-                .map(|c| c.stats.insts as f64 / c.secs / 1e6)
-                .collect();
-            geomean(&v)
-        };
-        let mut header = String::from("| interface |");
-        let mut rule = String::from("|---|");
-        for &b in &r.backends {
-            header.push_str(&format!(" {} MIPS |", backend_name(b)));
-            rule.push_str("---|");
-        }
-        let cached = r.backends.contains(&Backend::Cached);
-        for &b in &r.backends {
-            if cached && b != Backend::Cached {
-                header.push_str(&format!(" {}/cached |", backend_name(b)));
-                rule.push_str("---|");
-            }
-        }
-        let _ = writeln!(out, "{header}");
-        let _ = writeln!(out, "{rule}");
-        let mut sets: Vec<&BuildsetDef> = STANDARD_BUILDSETS.iter().collect();
-        sets.sort_by_key(|bs| semantic_rank(bs));
-        for bs in sets {
-            let mut line = format!("| {} |", bs.name);
-            let base = mips_of(bs.name, Backend::Cached);
-            for &b in &r.backends {
-                line.push_str(&format!(" {:.2} |", mips_of(bs.name, b)));
-            }
-            for &b in &r.backends {
-                if cached && b != Backend::Cached {
-                    let m = mips_of(bs.name, b);
-                    if base > 0.0 {
-                        line.push_str(&format!(" {:.2}x |", m / base));
-                    } else {
-                        line.push_str(" - |");
-                    }
-                }
-            }
-            let _ = writeln!(out, "{line}");
-        }
-        out.push('\n');
-        // The geomean above folds every ISA together, but the translation
-        // win is ISA-dependent (ARM's shared semantic cost — predicate
-        // check, barrel shifter, flag updates — is paid identically by both
-        // backends and caps its ratio). Break out the flagship translated
-        // interfaces per ISA, matching the paper's per-ISA tables.
-        if cached && r.backends.contains(&Backend::Compiled) {
-            let _ = writeln!(
-                out,
-                "Per-ISA breakdown of the translated interfaces (geomean over \
-                 kernels):\n"
-            );
-            let _ = writeln!(out, "| ISA | interface | cached MIPS | compiled MIPS | speedup |");
-            let _ = writeln!(out, "|---|---|---|---|---|");
-            let mut isas: Vec<&'static str> = Vec::new();
-            for c in &r.cells {
-                if !isas.contains(&c.isa) {
-                    isas.push(c.isa);
-                }
-            }
-            let isa_mips = |isa: &str, bs_name: &str, backend: Backend| -> f64 {
-                let v: Vec<f64> = r
-                    .cells
-                    .iter()
-                    .filter(|c| {
-                        c.isa == isa
-                            && c.buildset == bs_name
-                            && c.backend == backend
-                            && c.secs > 0.0
-                    })
-                    .map(|c| c.stats.insts as f64 / c.secs / 1e6)
-                    .collect();
-                geomean(&v)
-            };
-            for isa in isas {
-                for bs_name in ["block-min", "block-decode"] {
-                    let base = isa_mips(isa, bs_name, Backend::Cached);
-                    let m = isa_mips(isa, bs_name, Backend::Compiled);
-                    let speed = if base > 0.0 { format!("{:.2}x", m / base) } else { "-".into() };
-                    let _ = writeln!(out, "| {isa} | {bs_name} | {base:.2} | {m:.2} | {speed} |");
-                }
-            }
-            out.push('\n');
-        }
-    }
-    if r.measure_time {
-        let _ =
-            writeln!(out, "Sweep wall-clock: {:.1}s with {} worker(s).", r.elapsed_secs, r.jobs);
-    }
     out
 }
 
@@ -981,7 +818,7 @@ mod tests {
 
     #[test]
     fn matrix_covers_every_standard_buildset_and_isa() {
-        let cells = sweep_cells(&["gcd"], &[Backend::Cached], &[TimingConfig::CLASSIC]);
+        let cells = sweep_cells(&["gcd"], &[Backend::Compiled], &[TimingConfig::CLASSIC]);
         assert_eq!(cells.len(), 12 * 3);
         for isa in ISAS {
             for bs in &STANDARD_BUILDSETS {
@@ -1058,7 +895,7 @@ mod tests {
         // reported, and the JSON is still a pure function of the
         // configuration — identical bytes for jobs=1 and jobs=4.
         let panicky = |jobs| SweepConfig {
-            panic_cell: Some("alpha/block-min/gcd/cached".into()),
+            panic_cell: Some("alpha/block-min/gcd/compiled".into()),
             ..tiny(jobs)
         };
         let a = run_sweep(&panicky(1)).expect("sweeps");
@@ -1068,7 +905,9 @@ mod tests {
         let cell = a
             .cells
             .iter()
-            .find(|c| c.isa == "alpha" && c.buildset == "block-min" && c.backend == Backend::Cached)
+            .find(|c| {
+                c.isa == "alpha" && c.buildset == "block-min" && c.backend == Backend::Compiled
+            })
             .expect("cell present");
         assert_eq!(cell.crashes, 1, "first attempt panicked");
         assert!(cell.crash.as_deref().unwrap().contains("deliberate panic"), "{:?}", cell.crash);
@@ -1094,7 +933,7 @@ mod tests {
         // retries = 0 and a deliberate panic: the cell is reported crashed,
         // everything else completes normally.
         let cfg = SweepConfig {
-            panic_cell: Some("ppc/step-all/gcd/cached".into()),
+            panic_cell: Some("ppc/step-all/gcd/compiled".into()),
             retries: 0,
             ..tiny(2)
         };

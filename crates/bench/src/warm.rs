@@ -3,17 +3,18 @@
 //! Measures what the service's shared translation cache buys a second
 //! session: every cell runs a kernel twice on fresh simulators — cold
 //! (translating everything, publishing its artifacts) and warm (seeding
-//! predecoded blocks and compiled superblocks from the store) — and proves
-//! the two runs byte-equal before reporting. The JSON scoreboard
-//! (`BENCH_serve.json`) is deterministic by construction; wall-clock
-//! numbers appear only under `measure_time`, same policy as the sweep.
+//! compiled superblocks from the store) — and proves the two runs
+//! byte-equal before reporting. The JSON scoreboard (`BENCH_serve.json`) is
+//! deterministic by construction; the wall-clock cost of a cold session is
+//! the repository benchmark's `serve.cold_x`.
 
 use lis_core::JsonObj;
-use lis_harness::backend_name;
 use lis_runtime::{ArtifactKey, ArtifactStore, Backend, Simulator, StoreStats};
 use lis_workloads::{spec_of, ISAS};
 use std::sync::Arc;
-use std::time::Instant;
+
+/// The one backend with reusable translation state.
+const BACKEND: Backend = Backend::Compiled;
 
 /// What to measure.
 #[derive(Debug, Clone)]
@@ -22,12 +23,8 @@ pub struct WarmConfig {
     pub kernels: Vec<String>,
     /// Buildset names.
     pub buildsets: Vec<String>,
-    /// Backends with reusable translation state.
-    pub backends: Vec<Backend>,
     /// Instruction budget per run.
     pub max_insts: u64,
-    /// Include wall-clock seconds (host noise; breaks determinism).
-    pub measure_time: bool,
 }
 
 impl Default for WarmConfig {
@@ -35,14 +32,13 @@ impl Default for WarmConfig {
         WarmConfig {
             kernels: vec!["gcd".to_string(), "strrev".to_string()],
             buildsets: vec!["block-all".to_string(), "block-min".to_string()],
-            backends: vec![Backend::Cached, Backend::Compiled],
             max_insts: 100_000_000,
-            measure_time: false,
         }
     }
 }
 
-/// One (ISA, buildset, kernel, backend) cell, run cold then warm.
+/// One (ISA, buildset, kernel) cell on the compiled backend, run cold then
+/// warm.
 #[derive(Debug, Clone)]
 pub struct WarmCell {
     /// ISA name.
@@ -51,8 +47,6 @@ pub struct WarmCell {
     pub buildset: &'static str,
     /// Kernel name.
     pub kernel: String,
-    /// Backend.
-    pub backend: Backend,
     /// Instructions retired (identical cold and warm, asserted).
     pub insts: u64,
     /// Blocks the cold run translated.
@@ -64,23 +58,17 @@ pub struct WarmCell {
     /// Whether cold and warm agreed on stdout, exit code, instruction
     /// count, and detail units.
     pub equal: bool,
-    /// Cold wall-clock seconds (only under `measure_time`).
-    pub cold_secs: f64,
-    /// Warm wall-clock seconds (only under `measure_time`).
-    pub warm_secs: f64,
 }
 
 /// The whole scoreboard.
 #[derive(Debug, Clone)]
 pub struct WarmReport {
-    /// Every cell, in deterministic (ISA, buildset, kernel, backend) order.
+    /// Every cell, in deterministic (ISA, buildset, kernel) order.
     pub cells: Vec<WarmCell>,
     /// Store counters after the run (hits == cells when sharing works).
     pub store: StoreStats,
     /// The budget each run got.
     pub max_insts: u64,
-    /// Whether wall-clock fields are included in the JSON.
-    pub measure_time: bool,
 }
 
 impl WarmReport {
@@ -108,71 +96,53 @@ pub fn run_warm(cfg: &WarmConfig) -> Result<WarmReport, String> {
                 let w = lis_workloads::kernel(isa, kname)
                     .ok_or_else(|| format!("unknown kernel `{kname}` on {isa}"))?;
                 let image = w.assemble().map_err(|e| e.to_string())?;
-                for &backend in &cfg.backends {
-                    let label = format!("{isa}/{bs_name}/{kname}/{}", backend_name(backend));
+                let label = format!("{isa}/{bs_name}/{kname}/{}", BACKEND.name());
+                let key = ArtifactKey::new(isa, &image, bs.name, BACKEND);
 
-                    let t0 = Instant::now();
-                    let mut cold = Simulator::new(spec_of(isa), bs).map_err(|e| e.to_string())?;
-                    cold.set_backend(backend);
-                    cold.load_program(&image).map_err(|e| e.to_string())?;
-                    let cs = cold
-                        .run_to_halt(cfg.max_insts)
-                        .map_err(|e| format!("{label}: cold: {e}"))?;
-                    let cold_secs = t0.elapsed().as_secs_f64();
-                    let key = ArtifactKey::new(isa, &image, bs.name, backend);
-                    let art = cold
-                        .export_artifacts()
-                        .ok_or_else(|| format!("{label}: cold run refused to export"))?;
-                    store.insert(key, Arc::new(art));
+                let mut cold = Simulator::new(spec_of(isa), bs).map_err(|e| e.to_string())?;
+                cold.set_backend(BACKEND);
+                cold.load_program(&image).map_err(|e| e.to_string())?;
+                let cs =
+                    cold.run_to_halt(cfg.max_insts).map_err(|e| format!("{label}: cold: {e}"))?;
+                let art = cold
+                    .export_artifacts()
+                    .ok_or_else(|| format!("{label}: cold run refused to export"))?;
+                store.insert(key.clone(), Arc::new(art));
 
-                    let t1 = Instant::now();
-                    let mut warm = Simulator::new(spec_of(isa), bs).map_err(|e| e.to_string())?;
-                    warm.set_backend(backend);
-                    warm.load_program(&image).map_err(|e| e.to_string())?;
-                    let shared = store
-                        .get(&ArtifactKey::new(isa, &image, bs.name, backend))
-                        .ok_or_else(|| format!("{label}: store miss after publish"))?;
-                    let seeded =
-                        warm.seed_artifacts(&shared).map_err(|e| format!("{label}: {e}"))?;
-                    let ws = warm
-                        .run_to_halt(cfg.max_insts)
-                        .map_err(|e| format!("{label}: warm: {e}"))?;
-                    let warm_secs = t1.elapsed().as_secs_f64();
+                let mut warm = Simulator::new(spec_of(isa), bs).map_err(|e| e.to_string())?;
+                warm.set_backend(BACKEND);
+                warm.load_program(&image).map_err(|e| e.to_string())?;
+                let shared =
+                    store.get(&key).ok_or_else(|| format!("{label}: store miss after publish"))?;
+                let seeded = warm.seed_artifacts(&shared).map_err(|e| format!("{label}: {e}"))?;
+                let ws =
+                    warm.run_to_halt(cfg.max_insts).map_err(|e| format!("{label}: warm: {e}"))?;
 
-                    let equal = cs.exit_code == ws.exit_code
-                        && cs.insts == ws.insts
-                        && cold.stdout() == warm.stdout()
-                        && cold.stats.detail_units() == warm.stats.detail_units();
-                    if !equal {
-                        return Err(format!("{label}: cold and warm runs diverged"));
-                    }
-                    cells.push(WarmCell {
-                        isa,
-                        buildset: bs.name,
-                        kernel: kname.clone(),
-                        backend,
-                        insts: cs.insts,
-                        cold_blocks_built: cold.stats.blocks_built,
-                        warm_blocks_built: warm.stats.blocks_built,
-                        seeded: seeded as u64,
-                        equal,
-                        cold_secs,
-                        warm_secs,
-                    });
+                let equal = cs.exit_code == ws.exit_code
+                    && cs.insts == ws.insts
+                    && cold.stdout() == warm.stdout()
+                    && cold.stats.detail_units() == warm.stats.detail_units();
+                if !equal {
+                    return Err(format!("{label}: cold and warm runs diverged"));
                 }
+                cells.push(WarmCell {
+                    isa,
+                    buildset: bs.name,
+                    kernel: kname.clone(),
+                    insts: cs.insts,
+                    cold_blocks_built: cold.stats.blocks_built,
+                    warm_blocks_built: warm.stats.blocks_built,
+                    seeded: seeded as u64,
+                    equal,
+                });
             }
         }
     }
-    Ok(WarmReport {
-        cells,
-        store: store.stats(),
-        max_insts: cfg.max_insts,
-        measure_time: cfg.measure_time,
-    })
+    Ok(WarmReport { cells, store: store.stats(), max_insts: cfg.max_insts })
 }
 
-/// Renders the scoreboard (`BENCH_serve.json`). Deterministic unless
-/// `measure_time` was set.
+/// Renders the scoreboard (`BENCH_serve.json`). Deterministic by
+/// construction.
 pub fn to_json(r: &WarmReport) -> String {
     let mut o = JsonObj::new();
     o.str("schema", "lis-serve-warm-v1");
@@ -193,17 +163,12 @@ pub fn to_json(r: &WarmReport) -> String {
         co.str("isa", c.isa)
             .str("buildset", c.buildset)
             .str("kernel", &c.kernel)
-            .str("backend", backend_name(c.backend))
+            .str("backend", BACKEND.name())
             .u64("insts", c.insts)
             .u64("cold_blocks_built", c.cold_blocks_built)
             .u64("warm_blocks_built", c.warm_blocks_built)
             .u64("seeded", c.seeded)
             .bool("equal", c.equal);
-        if r.measure_time {
-            co.f64("cold_secs", c.cold_secs);
-            co.f64("warm_secs", c.warm_secs);
-            co.f64("speedup", c.cold_secs / c.warm_secs.max(1e-9));
-        }
         cells.push_str(&co.finish());
     }
     cells.push(']');
@@ -224,17 +189,14 @@ pub fn render(r: &WarmReport) -> String {
         r.store.entries
     );
     for c in &r.cells {
-        let mut line = format!(
+        let _ = writeln!(
+            out,
             "  {:<34} cold built {:>4} blocks, warm seeded {:>4}, built {}",
-            format!("{}/{}/{}/{}", c.isa, c.buildset, c.kernel, backend_name(c.backend)),
+            format!("{}/{}/{}/{}", c.isa, c.buildset, c.kernel, BACKEND.name()),
             c.cold_blocks_built,
             c.seeded,
             c.warm_blocks_built
         );
-        if r.measure_time {
-            let _ = write!(line, "  ({:.1}x)", c.cold_secs / c.warm_secs.max(1e-9));
-        }
-        let _ = writeln!(out, "{line}");
     }
     let _ = writeln!(out, "all cells cold==warm: {}", if r.ok() { "yes" } else { "NO" });
     out
@@ -252,7 +214,7 @@ mod tests {
             ..WarmConfig::default()
         };
         let report = run_warm(&cfg).expect("matrix runs");
-        assert_eq!(report.cells.len(), 3 * 2, "3 ISAs x 2 backends");
+        assert_eq!(report.cells.len(), 3, "one cell per ISA");
         assert!(report.ok(), "{report:?}");
         for c in &report.cells {
             assert!(c.cold_blocks_built > 0, "{c:?}");
@@ -263,7 +225,7 @@ mod tests {
         let json = to_json(&report);
         assert!(json.contains(r#""schema":"lis-serve-warm-v1""#));
         assert!(json.contains(r#""ok":true"#));
-        assert!(!json.contains("cold_secs"), "no wall-clock without measure_time");
+        assert!(!json.contains("cold_secs"), "no wall-clock in the scoreboard");
         // Deterministic: the same matrix renders byte-identically.
         let again = to_json(&run_warm(&cfg).expect("matrix reruns"));
         assert_eq!(json, again);

@@ -1,7 +1,7 @@
 //! `lis` — assemble and simulate programs under any derived interface.
 //!
 //! ```text
-//! lis run <file.s> --isa alpha [--buildset one-all] [--backend cached|interpreted|compiled]
+//! lis run <file.s> --isa alpha [--buildset one-all] [--backend interpreted|compiled]
 //!                              [--trace] [--max N] [--deadline S] [--timing ORG]
 //! lis asm <file.s> --isa ppc
 //! lis disasm <file.s> --isa arm
@@ -10,12 +10,12 @@
 //! lis lint [--isa all] [--buildset all] [--format text|json|sarif] [--deny-warnings]
 //! lis verify [--isa alpha] [--full] [--no-lint]
 //! lis chaos --isa alpha [--chaos-seed N] [--period N] [--runs N] [--no-lint]
-//! lis sweep [--jobs N] [--kernels a,b] [--backends both] [-o out.json] [--no-lint]
+//! lis sweep [--jobs N] [--kernels a,b] [--backends all] [-o out.json] [--no-lint]
 //! lis trace record <file.s> --isa alpha -o prog.lst
 //! lis trace info <prog.lst>
 //! lis trace replay <prog.lst> [--shards N] [--stats-json]
 //! lis serve --listen 127.0.0.1:4915 [--jobs N] [--drain-deadline S]
-//! lis serve --bench-warm [-o BENCH_serve.json] [--time]
+//! lis serve --bench-warm [-o BENCH_serve.json]
 //! lis connect <addr>
 //! ```
 //!
@@ -31,7 +31,7 @@ use lis_harness::{
     chaos_run, minimize_plan, supervised_run, verify_all, verify_isa, ChaosConfig, ChaosOutcome,
     ChaosPlanFile, HarnessError, PlanExpect, SuperviseConfig, SuperviseOutcome, VerifyConfig,
 };
-use lis_runtime::{Backend, ChaosPlan, Simulator};
+use lis_runtime::{ChaosPlan, Simulator};
 use lis_timing::{
     run_functional_first, run_functional_first_ooo, run_integrated,
     run_speculative_functional_first, run_timing_directed, run_timing_first, CoreConfig, OooConfig,
@@ -126,7 +126,7 @@ usage:
 
 options for `run`:
   --buildset <name>     interface to synthesize (default one-all)
-  --backend <b>         cached | interpreted | compiled (default cached)
+  --backend <b>         interpreted | compiled (default compiled)
   --trace               print each dynamic instruction
   --mix                 print an instruction-class mix histogram
   --max <n>             instruction budget (default 100M)
@@ -162,14 +162,11 @@ options for `sweep`:
   --jobs <n>            worker threads (default: one per core; clamped to
                         the cell count)
   --kernels <a,b,..>    kernel subset (default: the full suite)
-  --backends <set>      cached | interpreted | compiled | both | all
-                        (default cached)
+  --backends <set>      interpreted | compiled | all (default compiled)
   --timing <p1,p2,..>   timing presets to cross with the matrix: classic |
                         aggressive | stream | minimal (default classic)
   -o, --output <path>   where to write the JSON (default BENCH_sweep.json)
   --report <path>       also render the Tables I-III markdown report
-  --time                include wall-clock MIPS per cell (host-dependent;
-                        forfeits bit-identical output)
   --max <n>             per-cell instruction budget
   --deadline <secs>     per-cell watchdog (default 120)
   --retries <n>         retry a panicked cell up to n times, each one
@@ -196,7 +193,7 @@ options for `verify` / `chaos`:
   --runs <n>            chaos: seeded runs in the campaign (default 4)
   --unmap               chaos: also unmap pages (persistent faults)
   --translate           chaos: also poison superblock translations (silent;
-                        needs --backend compiled and --paranoid to be seen)
+                        compiled backend only; needs --paranoid to be seen)
   --paranoid            chaos: shadow each run with a lockstep reference and
                         spot-check the full state every --spot-stride units
   --spot-stride <n>     chaos: units between supervised spot checks (64)
@@ -220,7 +217,6 @@ options for `serve` / `connect`:
   --deadline <secs>     per-request wall-clock watchdog
   --bench-warm          run the cold-vs-warm artifact-store benchmark and
                         write BENCH_serve.json instead of serving
-  --time                bench-warm: include wall-clock speedups
   -o, --output <path>   bench-warm: where to write the JSON
   (connect takes the daemon address as its positional argument, reads one
    request frame per stdin line, prints one response line each, and exits
@@ -905,24 +901,12 @@ fn cmd_trace_replay(opts: &Opts) -> Result<u8, String> {
 }
 
 /// `lis sweep`: the full-matrix evaluation — every standard buildset on
-/// every ISA (optionally both backends) over the kernel suite, run as
+/// every ISA (optionally every backend) over the kernel suite, run as
 /// isolated parallel jobs. Writes `BENCH_sweep.json` (bit-identical across
-/// runs and job counts unless `--time` adds wall-clock fields) and an
-/// optional Tables I–III markdown report. Exit 0 when every cell ran to a
-/// clean halt, 3 when any cell faulted or hit its deadline.
+/// runs and job counts) and an optional Tables I–III markdown report. Exit
+/// 0 when every cell ran to a clean halt, 3 when any cell faulted or hit its
+/// deadline.
 fn cmd_sweep(opts: &Opts) -> Result<u8, String> {
-    let backends = match opts.backends.as_deref() {
-        None | Some("cached") => vec![Backend::Cached],
-        Some("interpreted") => vec![Backend::Interpreted],
-        Some("compiled") => vec![Backend::Compiled],
-        Some("both") => vec![Backend::Cached, Backend::Interpreted],
-        Some("all") => vec![Backend::Cached, Backend::Interpreted, Backend::Compiled],
-        Some(other) => {
-            return Err(format!(
-                "unknown --backends `{other}` (cached|interpreted|compiled|both|all)"
-            ))
-        }
-    };
     if !opts.no_lint {
         let cells: Vec<(&'static IsaSpec, BuildsetDef)> = lis_workloads::ISAS
             .iter()
@@ -945,20 +929,22 @@ fn cmd_sweep(opts: &Opts) -> Result<u8, String> {
     let mut cfg = lis_bench::SweepConfig {
         jobs: opts.jobs,
         kernels: opts.kernels.clone(),
-        backends,
         timings,
         max_insts: opts.max,
-        measure_time: opts.time,
         retries: opts.retries,
         // CI's isolation smoke test injects a deliberate panic into one
         // named cell; see SweepConfig::panic_cell.
         panic_cell: std::env::var("LIS_SWEEP_PANIC").ok(),
         ..lis_bench::SweepConfig::default()
     };
+    if let Some(backends) = &opts.backends {
+        cfg.backends = backends.clone();
+    }
     if let Some(secs) = opts.deadline {
         cfg.deadline = Some(std::time::Duration::from_secs(secs));
     }
 
+    let t0 = std::time::Instant::now();
     let report = lis_bench::run_sweep(&cfg)?;
 
     let json_path = opts.output.as_deref().unwrap_or("BENCH_sweep.json");
@@ -997,7 +983,7 @@ fn cmd_sweep(opts: &Opts) -> Result<u8, String> {
         report.backends.len(),
         report.timings.len(),
         report.jobs,
-        report.elapsed_secs,
+        t0.elapsed().as_secs_f64(),
         match &opts.report {
             Some(p) => format!(" + {p}"),
             None => String::new(),
@@ -1009,7 +995,7 @@ fn cmd_sweep(opts: &Opts) -> Result<u8, String> {
             c.isa,
             c.buildset,
             c.kernel,
-            lis_harness::backend_name(c.backend),
+            c.backend.name(),
             match (&c.crash, &c.fault, c.deadline_expired) {
                 (Some(msg), _, _) if c.halted && c.exit_code == 0 => {
                     format!("crashed {} time(s), recovered on retry [{msg}]", c.crashes)
@@ -1233,7 +1219,6 @@ fn cmd_serve(opts: &Opts) -> Result<u8, String> {
     if opts.bench_warm {
         let cfg = lis_bench::warm::WarmConfig {
             max_insts: opts.max,
-            measure_time: opts.time,
             ..lis_bench::warm::WarmConfig::default()
         };
         let report = lis_bench::run_warm(&cfg)?;

@@ -83,14 +83,10 @@ pub struct Opts {
     pub jobs: usize,
     /// Kernel subset for `sweep` (empty = the full suite).
     pub kernels: Vec<String>,
-    /// Backend set for `sweep`
-    /// (`cached` | `interpreted` | `compiled` | `both` | `all`).
-    pub backends: Option<String>,
+    /// Backend set for `sweep`: one backend name, or `all`.
+    pub backends: Option<Vec<Backend>>,
     /// Markdown report output path for `sweep`.
     pub report: Option<String>,
-    /// Include wall-clock timing in sweep output (forfeits bit-identical
-    /// JSON).
-    pub time: bool,
     /// Diagnostic output format for `lint` (`text` | `json` | `sarif`).
     pub format: Option<String>,
     /// Treat lint warnings as errors (exit 5).
@@ -117,7 +113,7 @@ impl Default for Opts {
             input: None,
             isa: String::new(),
             buildset: "one-all".into(),
-            backend: Backend::Cached,
+            backend: Backend::default(),
             backend_explicit: false,
             trace: false,
             mix: false,
@@ -150,7 +146,6 @@ impl Default for Opts {
             kernels: Vec::new(),
             backends: None,
             report: None,
-            time: false,
             format: None,
             deny_warnings: false,
             list_passes: false,
@@ -179,12 +174,7 @@ impl Opts {
                     o.buildset_explicit = true;
                 }
                 "--backend" => {
-                    o.backend = match value("--backend")?.as_str() {
-                        "cached" => Backend::Cached,
-                        "interpreted" => Backend::Interpreted,
-                        "compiled" => Backend::Compiled,
-                        other => return Err(format!("unknown backend `{other}`")),
-                    };
+                    o.backend = value("--backend")?.parse()?;
                     o.backend_explicit = true;
                 }
                 "--trace" => o.trace = true,
@@ -271,9 +261,12 @@ impl Opts {
                         return Err("--kernels needs at least one kernel name".into());
                     }
                 }
-                "--backends" => o.backends = Some(value("--backends")?),
+                "--backends" => {
+                    let set = Backend::select(&value("--backends")?)
+                        .map_err(|e| format!("--backends: {e}"))?;
+                    o.backends = Some(set);
+                }
                 "--report" => o.report = Some(value("--report")?),
-                "--time" => o.time = true,
                 "--format" => o.format = Some(value("--format")?),
                 "--deny-warnings" => o.deny_warnings = true,
                 "--list-passes" => o.list_passes = true,
@@ -318,7 +311,7 @@ mod tests {
         assert!(o.trace);
         assert_eq!(o.max, 42);
         assert_eq!(o.buildset, "one-all");
-        assert_eq!(o.backend, Backend::Cached);
+        assert_eq!(o.backend, Backend::Compiled);
     }
 
     #[test]
@@ -342,6 +335,8 @@ mod tests {
     #[test]
     fn errors() {
         assert!(parse(&["--backend", "jit"]).is_err());
+        let err = parse(&["--backend", "cached"]).unwrap_err();
+        assert!(err.contains("unknown backend `cached`"), "{err}");
         assert!(parse(&["--max", "abc"]).is_err());
         assert!(parse(&["--bogus"]).is_err());
         assert!(parse(&["a.s", "b.s"]).is_err());
@@ -445,17 +440,20 @@ mod tests {
             "--kernels",
             "gcd,sieve",
             "--backends",
-            "both",
+            "all",
             "--report",
             "SWEEP.md",
-            "--time",
         ])
         .unwrap();
         assert_eq!(o.jobs, 4);
         assert_eq!(o.kernels, vec!["gcd".to_string(), "sieve".to_string()]);
-        assert_eq!(o.backends.as_deref(), Some("both"));
+        assert_eq!(o.backends, Some(Backend::ALL.to_vec()));
         assert_eq!(o.report.as_deref(), Some("SWEEP.md"));
-        assert!(o.time);
+        let o = parse(&["--backends", "interpreted"]).unwrap();
+        assert_eq!(o.backends, Some(vec![Backend::Interpreted]));
+        let err = parse(&["--backends", "cached"]).unwrap_err();
+        assert!(err.contains("unknown backend `cached`"), "{err}");
+        assert!(parse(&["--time"]).is_err(), "wall-clock sweeps are the benchmark's job");
 
         // `--jobs 0` is a zero-sized pool: a usage error, like `--shards 0`,
         // not something to silently reinterpret.
@@ -464,7 +462,6 @@ mod tests {
         assert!(parse(&["--jobs", "many"]).is_err());
         assert!(parse(&["--kernels", ","]).is_err(), "an all-empty list is an error");
         assert_eq!(parse(&[]).unwrap().jobs, 0, "default 0 means auto, one per core");
-        assert!(!parse(&[]).unwrap().time);
     }
 
     #[test]

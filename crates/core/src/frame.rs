@@ -102,20 +102,15 @@ impl Frame {
         self.valid = self.valid.union(mask);
     }
 
-    /// Replays a precomputed decode capture: writes the raw `(field-id,
-    /// value)` pairs and *replaces* the whole validity mask with `valid` in
-    /// one store — the bulk equivalent of `clear()` followed by one `set`
-    /// per pair. `valid` must be exactly the set of ids in `pairs`; anything
-    /// else would publish stale or phantom fields.
+    /// Replays a precomputed decode capture: writes `vals` to the fields of
+    /// `valid` in increasing id order and *replaces* the whole validity mask
+    /// with `valid` in one store — the bulk equivalent of `clear()` followed
+    /// by one `set` per field.
     #[inline]
-    pub fn replay(&mut self, pairs: &[(u8, u64)], valid: FieldSet) {
-        debug_assert_eq!(
-            pairs.iter().fold(FieldSet::EMPTY, |s, &(f, _)| s.with(FieldId(f))),
-            valid,
-            "replay mask must match the replayed pairs"
-        );
-        for &(f, v) in pairs {
-            self.vals[f as usize] = v;
+    pub fn replay(&mut self, vals: &[u64], valid: FieldSet) {
+        debug_assert!(vals.len() >= valid.len() as usize, "one value per replayed field");
+        for (f, &v) in valid.iter().zip(vals) {
+            self.vals[f.index()] = v;
         }
         self.valid = valid;
     }

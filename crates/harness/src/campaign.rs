@@ -10,7 +10,7 @@
 
 use crate::driver::advance;
 use crate::lockstep::{retired, HarnessError};
-use crate::report::{backend_name, RetiredInst, Ring};
+use crate::report::{RetiredInst, Ring};
 use crate::watchdog::Watchdog;
 use lis_core::{BuildsetDef, DynInst, IsaSpec};
 use lis_mem::Image;
@@ -88,7 +88,7 @@ impl fmt::Display for ChaosRunReport {
             "chaos {} {} ({}) seed {:#x}: {:?} after {} insts, {} faults, {} events, {} fallback blocks",
             self.isa,
             self.buildset,
-            backend_name(self.backend),
+            self.backend.name(),
             self.plan.seed,
             self.outcome,
             self.insts,
@@ -126,8 +126,8 @@ impl ChaosRunReport {
 /// Runs `image` on `(bs, backend)` under the chaos `plan`.
 ///
 /// Cache verification (graceful degradation) is switched on for the run, so
-/// a cached backend falls back to interpreted rebuilds rather than executing
-/// stale blocks after an unmap.
+/// the compiled backend falls back to one-shot rebuilds rather than
+/// executing stale superblocks after an unmap.
 ///
 /// # Errors
 ///

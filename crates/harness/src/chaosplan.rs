@@ -61,29 +61,12 @@ pub struct PlanReplay {
     pub report: SuperviseReport,
 }
 
-fn backend_token(b: Backend) -> &'static str {
-    match b {
-        Backend::Cached => "cached",
-        Backend::Interpreted => "interpreted",
-        Backend::Compiled => "compiled",
-    }
-}
-
-fn parse_backend(s: &str) -> Option<Backend> {
-    match s {
-        "cached" => Some(Backend::Cached),
-        "interpreted" => Some(Backend::Interpreted),
-        "compiled" => Some(Backend::Compiled),
-        _ => None,
-    }
-}
-
 impl fmt::Display for ChaosPlanFile {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "{CHAOSPLAN_MAGIC}")?;
         writeln!(f, "isa {}", self.isa)?;
         writeln!(f, "buildset {}", self.buildset)?;
-        writeln!(f, "backend {}", backend_token(self.backend))?;
+        writeln!(f, "backend {}", self.backend.name())?;
         writeln!(f, "kernel {}", self.kernel)?;
         writeln!(f, "seed {:#x}", self.seed)?;
         writeln!(f, "max-insts {}", self.max_insts)?;
@@ -187,11 +170,7 @@ impl ChaosPlanFile {
             match key {
                 "isa" => isa = Some(rest.to_string()),
                 "buildset" => buildset = Some(rest.to_string()),
-                "backend" => {
-                    backend = Some(
-                        parse_backend(rest).ok_or_else(|| at(format!("bad backend {rest:?}")))?,
-                    );
-                }
+                "backend" => backend = Some(rest.parse().map_err(at)?),
                 "kernel" => kernel = Some(rest.to_string()),
                 "seed" => seed = Some(int(rest).map_err(at)?),
                 "max-insts" => max_insts = int(rest).map_err(at)?,

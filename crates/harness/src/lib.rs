@@ -56,11 +56,11 @@ pub use lockstep::{
     job_label, lockstep, lockstep_with, HarnessError, LockstepConfig, LockstepOutcome, PerturbHook,
 };
 pub use minimize::{minimize_plan, MinimizeOutcome};
-pub use report::{backend_name, DivergenceReport, RegDelta, RetiredInst, Ring, RING_LEN};
+pub use report::{DivergenceReport, RegDelta, RetiredInst, Ring, RING_LEN};
 pub use supervise::{
     supervised_replay, supervised_run, SuperviseConfig, SuperviseOutcome, SuperviseReport,
 };
-pub use verify::{verify_all, verify_isa, VerifyConfig, VerifyFailure, VerifyReport, ALL_BACKENDS};
+pub use verify::{verify_all, verify_isa, VerifyConfig, VerifyFailure, VerifyReport};
 pub use watchdog::{Watchdog, DEFAULT_STRIDE};
 
 #[cfg(test)]
@@ -82,7 +82,7 @@ mod tests {
         let spec = lis_workloads::spec_of("alpha");
         let image = kernel("alpha", "strrev");
         for bs in STANDARD_BUILDSETS {
-            for backend in ALL_BACKENDS {
+            for backend in Backend::ALL {
                 match lockstep(spec, &image, bs, backend) {
                     Ok(LockstepOutcome::Halted { exit_code, insts, .. }) => {
                         assert_eq!(exit_code, 0, "{}: bad exit", bs.name);
@@ -109,7 +109,7 @@ mod tests {
             spec,
             &image,
             ONE_ALL,
-            Backend::Cached,
+            Backend::Compiled,
             &LockstepConfig::default(),
             Some(&mut perturb),
         )
@@ -143,8 +143,9 @@ mod tests {
             }
         };
         let cfg = LockstepConfig { mem_check_stride: 1, ..LockstepConfig::default() };
-        let err = lockstep_with(spec, &image, BLOCK_MIN, Backend::Cached, &cfg, Some(&mut perturb))
-            .expect_err("memory corruption must be detected");
+        let err =
+            lockstep_with(spec, &image, BLOCK_MIN, Backend::Compiled, &cfg, Some(&mut perturb))
+                .expect_err("memory corruption must be detected");
         let HarnessError::Divergence(report) = err else {
             panic!("expected divergence, got {err}");
         };
@@ -168,8 +169,8 @@ mod tests {
         let image = kernel("alpha", "hash31");
         let plan = ChaosPlan::uniform(0xDECAF, 300);
         let cfg = ChaosConfig::default();
-        let a = chaos_run(spec, &image, BLOCK_MIN, Backend::Cached, plan, &cfg).expect("run");
-        let b = chaos_run(spec, &image, BLOCK_MIN, Backend::Cached, plan, &cfg).expect("run");
+        let a = chaos_run(spec, &image, BLOCK_MIN, Backend::Compiled, plan, &cfg).expect("run");
+        let b = chaos_run(spec, &image, BLOCK_MIN, Backend::Compiled, plan, &cfg).expect("run");
         assert!(!a.events.is_empty(), "plan should inject something");
         assert_eq!(a.events, b.events);
         assert_eq!(a.outcome, b.outcome);
@@ -263,11 +264,11 @@ mod tests {
             kernels: vec!["strrev"],
             random_seeds: vec![],
             random_len: 0,
-            backends: ALL_BACKENDS.to_vec(),
+            backends: Backend::ALL.to_vec(),
             lockstep: LockstepConfig::default(),
         };
         let report = verify_isa("alpha", &cfg);
-        assert_eq!(report.jobs, STANDARD_BUILDSETS.len() * ALL_BACKENDS.len());
+        assert_eq!(report.jobs, STANDARD_BUILDSETS.len() * Backend::ALL.len());
         let msgs: Vec<String> =
             report.failures.iter().map(|f| format!("{}: {}", f.job, f.error)).collect();
         assert!(report.ok(), "failures: {msgs:?}");

@@ -8,7 +8,7 @@
 
 use crate::compare::{compare_retired, RetiredCmp};
 use crate::driver::advance;
-use crate::report::{backend_name, DivergenceReport, RegDelta, RetiredInst, Ring};
+use crate::report::{DivergenceReport, RegDelta, RetiredInst, Ring};
 use lis_core::{BuildsetDef, DynInst, Fault, IsaSpec, ONE_MIN};
 use lis_mem::Image;
 use lis_runtime::{Backend, BuildError, IfaceError, Simulator};
@@ -307,5 +307,5 @@ pub(crate) fn retired(index: u64, di: &DynInst) -> RetiredInst {
 
 /// Short human label for a lockstep job, used by `lis verify` output.
 pub fn job_label(isa: &str, bs: &BuildsetDef, backend: Backend, workload: &str) -> String {
-    format!("{isa}/{}/{}/{workload}", bs.name, backend_name(backend))
+    format!("{isa}/{}/{}/{workload}", bs.name, backend.name())
 }

@@ -9,15 +9,6 @@ use std::fmt;
 /// Depth of the retired-instruction history kept for crash reports.
 pub const RING_LEN: usize = 64;
 
-/// Short lower-case name of a backend, for report headers and job labels.
-pub fn backend_name(b: Backend) -> &'static str {
-    match b {
-        Backend::Cached => "cached",
-        Backend::Interpreted => "interpreted",
-        Backend::Compiled => "compiled",
-    }
-}
-
 /// One retired (or faulted) instruction as remembered by the ring buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetiredInst {
@@ -151,7 +142,7 @@ impl fmt::Display for DivergenceReport {
             "divergence: {} {} ({}) at inst #{} pc {:#x}",
             self.isa,
             self.buildset,
-            backend_name(self.backend),
+            self.backend.name(),
             self.inst_index,
             self.pc
         )?;

@@ -22,7 +22,7 @@
 use crate::compare::{compare_retired, RetiredCmp};
 use crate::driver::advance;
 use crate::lockstep::{retired, HarnessError};
-use crate::report::{backend_name, RetiredInst, Ring};
+use crate::report::{RetiredInst, Ring};
 use crate::watchdog::Watchdog;
 use lis_core::{BuildsetDef, DynInst, IsaSpec, ONE_MIN};
 use lis_mem::Image;
@@ -134,8 +134,8 @@ impl fmt::Display for SuperviseReport {
              {} events, {} demotion(s), {} divergence(s), verified={}",
             self.isa,
             self.buildset,
-            backend_name(self.backend),
-            backend_name(self.final_backend),
+            self.backend.name(),
+            self.final_backend.name(),
             self.seed,
             self.outcome,
             self.insts,

@@ -24,9 +24,6 @@ pub struct VerifyConfig {
     pub lockstep: LockstepConfig,
 }
 
-/// Every execution backend, in matrix order.
-pub const ALL_BACKENDS: [Backend; 3] = [Backend::Cached, Backend::Interpreted, Backend::Compiled];
-
 impl Default for VerifyConfig {
     /// A quick matrix: two short kernels plus two random programs per ISA.
     fn default() -> VerifyConfig {
@@ -34,7 +31,7 @@ impl Default for VerifyConfig {
             kernels: vec!["strrev", "hash31"],
             random_seeds: vec![0xC0FFEE, 7],
             random_len: 48,
-            backends: ALL_BACKENDS.to_vec(),
+            backends: Backend::ALL.to_vec(),
             lockstep: LockstepConfig::default(),
         }
     }
@@ -47,7 +44,7 @@ impl VerifyConfig {
             kernels: vec!["sieve", "fib", "matmul", "hash31", "strrev", "sort", "gcd", "bitcount"],
             random_seeds: vec![1, 2, 3],
             random_len: 64,
-            backends: ALL_BACKENDS.to_vec(),
+            backends: Backend::ALL.to_vec(),
             lockstep: LockstepConfig::default(),
         }
     }

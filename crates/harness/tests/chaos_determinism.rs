@@ -23,8 +23,8 @@ fn same_seed_same_campaign_on_every_isa() {
         let image = kernel_image(isa, "hash31");
         let plan = ChaosPlan::uniform(0x51EE7 ^ plan_salt(isa), 250);
         let cfg = ChaosConfig::default();
-        let a = chaos_run(spec, &image, BLOCK_MIN, Backend::Cached, plan, &cfg).expect("run");
-        let b = chaos_run(spec, &image, BLOCK_MIN, Backend::Cached, plan, &cfg).expect("run");
+        let a = chaos_run(spec, &image, BLOCK_MIN, Backend::Compiled, plan, &cfg).expect("run");
+        let b = chaos_run(spec, &image, BLOCK_MIN, Backend::Compiled, plan, &cfg).expect("run");
         assert_eq!(a.events, b.events, "{isa}: event logs differ");
         assert_eq!(a.outcome, b.outcome, "{isa}: outcomes differ");
         assert_eq!(a.insts, b.insts, "{isa}: instruction counts differ");

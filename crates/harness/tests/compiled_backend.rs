@@ -1,17 +1,17 @@
 //! The compiled (superblock-translating) backend must be observationally
-//! identical to the other backends everywhere the single-specification
+//! identical to the interpreted backend everywhere the single-specification
 //! principle reaches:
 //!
 //! * **Lockstep**: every standard buildset on every ISA, over sampled suite
 //!   kernels and generated programs, agrees with the `one-min` interpreted
 //!   reference instruction by instruction (proptest-sampled).
 //! * **Deterministic stats**: the detail-unit scoreboard — the metric
-//!   `BENCH_sweep.json` is built from — is identical between the cached and
-//!   compiled backends, so adding the backend cannot perturb the sweep's
-//!   bit-identical output.
-//! * **Chaos**: fault-injection campaigns (including page unmaps, which
-//!   must drop superblock chains) produce the same event log and outcome as
-//!   the cached backend, and corrupted (poisoned) builds never enter the
+//!   `BENCH_sweep.json` is built from — is identical between the
+//!   interpreted and compiled backends, so the backend axis cannot perturb
+//!   the sweep's bit-identical output.
+//! * **Chaos**: data-fault and page-unmap campaigns (unmaps must drop
+//!   superblock chains) produce the same event log and outcome as the
+//!   interpreted backend, and corrupted (poisoned) builds never enter the
 //!   superblock cache.
 
 use lis_core::{DynInst, STANDARD_BUILDSETS};
@@ -61,11 +61,11 @@ proptest! {
     }
 }
 
-/// The sweep metric is backend-invariant: cached and compiled runs retire
-/// the same instructions and charge the same detail units on every standard
-/// buildset, so `--backends all` sweeps stay bit-identical.
+/// The sweep metric is backend-invariant: interpreted and compiled runs
+/// retire the same instructions and charge the same detail units on every
+/// standard buildset, so `--backends all` sweeps stay bit-identical.
 #[test]
-fn detail_units_match_cached_backend_exactly() {
+fn detail_units_match_interpreted_backend_exactly() {
     for isa in ISAS {
         let image = kernel_image(isa, "gcd");
         for bs in STANDARD_BUILDSETS {
@@ -77,12 +77,12 @@ fn detail_units_match_cached_backend_exactly() {
                 assert_eq!(summary.exit_code, 0, "{isa}/{}: bad exit", bs.name);
                 sim.stats
             };
-            let cached = run(Backend::Cached);
+            let interpreted = run(Backend::Interpreted);
             let compiled = run(Backend::Compiled);
-            assert_eq!(cached.insts, compiled.insts, "{isa}/{}: insts", bs.name);
-            assert_eq!(cached.calls, compiled.calls, "{isa}/{}: calls", bs.name);
+            assert_eq!(interpreted.insts, compiled.insts, "{isa}/{}: insts", bs.name);
+            assert_eq!(interpreted.calls, compiled.calls, "{isa}/{}: calls", bs.name);
             assert_eq!(
-                cached.detail_units(),
+                interpreted.detail_units(),
                 compiled.detail_units(),
                 "{isa}/{}: detail units diverge between backends",
                 bs.name
@@ -91,19 +91,22 @@ fn detail_units_match_cached_backend_exactly() {
     }
 }
 
-/// Chaos campaigns — bit flips, data faults, and page unmaps — observe the
-/// same events and reach the same outcome on the compiled backend as on the
-/// cached one. Unmaps in particular must invalidate superblock chains: a
-/// chain that survived an unmap would execute code from a page that is gone
-/// and diverge here.
+/// Chaos campaigns — data faults and page unmaps — observe the same events
+/// and reach the same outcome on the compiled backend as on the interpreted
+/// one. Unmaps in particular must invalidate superblock chains: a chain that
+/// survived an unmap would execute code from a page that is gone and diverge
+/// here. (Bit flips are left out: they fire at the next instruction fetch,
+/// and the interpreted backend fetches on every execution where the
+/// compiled one fetches only to translate, so the two draw different flip
+/// schedules by design.)
 #[test]
-fn chaos_campaign_matches_cached_backend() {
+fn chaos_campaign_matches_interpreted_backend() {
     for isa in ISAS {
         let spec = spec_of(isa);
         let image = kernel_image(isa, "hash31");
         let plan = ChaosPlan {
             seed: 0xC0DE ^ isa.len() as u64,
-            flip_period: Some(200),
+            flip_period: None,
             data_fault_period: Some(300),
             unmap_period: Some(900),
             translate_fault_period: None,
@@ -112,13 +115,18 @@ fn chaos_campaign_matches_cached_backend() {
         };
         let cfg = ChaosConfig::default();
         let bs = lis_core::BLOCK_MIN;
-        let cached = chaos_run(spec, &image, bs, Backend::Cached, plan, &cfg).expect("run");
+        let interpreted =
+            chaos_run(spec, &image, bs, Backend::Interpreted, plan, &cfg).expect("run");
         let compiled = chaos_run(spec, &image, bs, Backend::Compiled, plan, &cfg).expect("run");
-        assert_eq!(cached.events, compiled.events, "{isa}: event logs differ");
-        assert_eq!(cached.outcome, compiled.outcome, "{isa}: outcomes differ");
-        assert_eq!(cached.insts, compiled.insts, "{isa}: instruction counts differ");
-        assert_eq!(cached.faults, compiled.faults, "{isa}: fault counts differ");
-        assert_eq!(cached.ring, compiled.ring, "{isa}: rings differ");
+        assert!(
+            compiled.events.iter().any(|e| matches!(e, lis_runtime::ChaosEvent::PageUnmap { .. })),
+            "{isa}: the campaign must unmap a page"
+        );
+        assert_eq!(interpreted.events, compiled.events, "{isa}: event logs differ");
+        assert_eq!(interpreted.outcome, compiled.outcome, "{isa}: outcomes differ");
+        assert_eq!(interpreted.insts, compiled.insts, "{isa}: instruction counts differ");
+        assert_eq!(interpreted.faults, compiled.faults, "{isa}: fault counts differ");
+        assert_eq!(interpreted.ring, compiled.ring, "{isa}: rings differ");
     }
 }
 

@@ -36,7 +36,7 @@ proptest! {
     ) {
         let spec = lis_workloads::spec_of("alpha");
         let mut sim = Simulator::new(spec, ONE_ALL_SPEC).expect("build");
-        sim.set_backend(Backend::Cached);
+        sim.set_backend(Backend::Compiled);
         sim.load_program(strrev_image()).expect("load");
 
         // Run clean for a bit, then snapshot and checkpoint.

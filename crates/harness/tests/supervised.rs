@@ -73,7 +73,7 @@ fn demotion_recovers_a_run_that_aborts_without_it() {
     assert!(!recovered.divergences.is_empty(), "the divergence was found, then survived");
     assert_eq!(recovered.demotions[0].reason, DemotionReason::SpotCheck);
     assert_eq!(recovered.demotions[0].from, Backend::Compiled);
-    assert_eq!(recovered.demotions[0].to, Backend::Cached);
+    assert_eq!(recovered.demotions[0].to, Backend::Interpreted);
     assert!(recovered.stats.demotions >= 1);
     assert_eq!(recovered.final_backend, recovered.demotions.last().unwrap().to);
 }
@@ -149,8 +149,8 @@ fn minimize_refuses_a_plan_that_does_not_reproduce() {
     let spec = spec_of("alpha");
     let image = kernel("alpha", "hash31");
     let cfg = SuperviseConfig::default();
-    let out =
-        minimize_plan(spec, &image, BLOCK_ALL, Backend::Cached, 1, &[], &cfg).expect("probe runs");
+    let out = minimize_plan(spec, &image, BLOCK_ALL, Backend::Compiled, 1, &[], &cfg)
+        .expect("probe runs");
     assert!(out.is_none(), "an empty script on a clean backend cannot diverge");
 }
 
@@ -176,7 +176,7 @@ fn deadline_pressure_demotes_proactively_before_the_watchdog_fires() {
         report.demotions.iter().filter(|d| d.reason == DemotionReason::Deadline).collect();
     assert_eq!(deadline_rungs.len(), 1, "one proactive rung, not a spiral");
     assert_eq!(deadline_rungs[0].from, Backend::Compiled);
-    assert_eq!(report.final_backend, Backend::Cached);
+    assert_eq!(report.final_backend, Backend::Interpreted);
 }
 
 #[test]
@@ -223,6 +223,11 @@ fn chaosplan_parser_rejects_malformed_input() {
                      kernel hash31\nseed 1\nexpect diverge\nevent unmap inst=1\n";
     let err = ChaosPlanFile::parse(bad_field).unwrap_err();
     assert!(err.contains("missing field base"), "{err}");
+    // The retired predecode-cache backend is no longer a plan backend.
+    let cached = "lis-chaosplan v1\nisa alpha\nbuildset block-all\nbackend cached\n\
+                  kernel hash31\nseed 1\nexpect diverge\n";
+    let err = ChaosPlanFile::parse(cached).unwrap_err();
+    assert!(err.contains("line 4: unknown backend `cached`"), "{err}");
 }
 
 #[test]

@@ -1,9 +1,9 @@
 //! Shared translation artifacts: exportable snapshots of a simulator's
-//! predecode and compiled-code caches, plus a thread-safe content-addressed
+//! decode and compiled-code caches, plus a thread-safe content-addressed
 //! store that amortizes build work across simulators.
 //!
-//! The per-simulator caches hold `Rc<Block>` / `Rc<Superblock>` with interior
-//! `Cell` link state — deliberately single-threaded. What *is* shareable is
+//! The per-simulator caches hold `Rc<Superblock>` with interior `Cell` link
+//! state — deliberately single-threaded. What *is* shareable is
 //! the plain data those caches were built from: [`crate::Simulator`]
 //! instructions are `Copy` structs of captured decode state and action
 //! function pointers, all `Send + Sync`. [`Artifacts`] is that plain-data
@@ -23,13 +23,13 @@
 //! [`crate::compile`] — so nothing a chaos run built may escape it).
 
 use crate::compile::CompiledInst;
-use crate::engine::{Backend, PredecInst};
+use crate::engine::Backend;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// A plain-data snapshot of one simulator's translation caches: predecoded
-/// blocks, the single-instruction decode cache, and compiled superblocks.
+/// A plain-data snapshot of one simulator's translation caches: the
+/// single-instruction decode cache and compiled superblocks.
 /// `Send + Sync` (asserted by test), so it can sit behind an `Arc` in a
 /// shared store and seed simulators on any thread.
 pub struct Artifacts {
@@ -37,13 +37,11 @@ pub struct Artifacts {
     pub(crate) isa: &'static str,
     /// Buildset name the caches were built for.
     pub(crate) buildset: &'static str,
-    /// Backend the caches were built by (seeding checks equality: cached
-    /// blocks are useless to a compiled backend and vice versa).
+    /// Backend the caches were built by (seeding checks equality: the
+    /// interpreted backend keeps no caches to seed).
     pub(crate) backend: Backend,
     /// Block-length cap in force when the blocks were built.
     pub(crate) max_block: usize,
-    /// Predecoded blocks, sorted by entry PC.
-    pub(crate) blocks: Vec<(u64, Box<[PredecInst]>)>,
     /// Single-instruction decode cache entries `(pc, (op, bits))`, sorted.
     pub(crate) insts: Vec<(u64, (u16, u32))>,
     /// Compiled superblocks, sorted by entry PC.
@@ -51,11 +49,10 @@ pub struct Artifacts {
 }
 
 impl Artifacts {
-    /// Total translations carried: predecoded blocks plus compiled
-    /// superblocks (the unit [`SimStats::seeded_blocks`]
-    /// (crate::SimStats::seeded_blocks) counts).
+    /// Total translations carried: compiled superblocks (the unit
+    /// [`SimStats::seeded_blocks`](crate::SimStats::seeded_blocks) counts).
     pub fn len(&self) -> usize {
-        self.blocks.len() + self.compiled.len()
+        self.compiled.len()
     }
 
     /// Whether the snapshot carries no translations at all (it may still
@@ -86,7 +83,6 @@ impl std::fmt::Debug for Artifacts {
             .field("isa", &self.isa)
             .field("buildset", &self.buildset)
             .field("backend", &self.backend)
-            .field("blocks", &self.blocks.len())
             .field("insts", &self.insts.len())
             .field("compiled", &self.compiled.len())
             .finish()
@@ -241,15 +237,14 @@ mod tests {
             isa: "alpha".into(),
             image_hash: 7,
             buildset: "block-all".into(),
-            backend: Backend::Cached,
+            backend: Backend::Compiled,
         };
         assert!(store.get(&key).is_none());
         let art = Arc::new(Artifacts {
             isa: "alpha",
             buildset: "block-all",
-            backend: Backend::Cached,
+            backend: Backend::Compiled,
             max_block: 64,
-            blocks: vec![],
             insts: vec![],
             compiled: vec![],
         });

@@ -1,9 +1,9 @@
 //! The compiled superblock backend.
 //!
 //! [`Backend::Compiled`](crate::Backend::Compiled) is the toolkit's
-//! binary-translation analog taken one step further than the cached backend.
-//! Per (ISA, buildset) it synthesizes a translation layer from the same
-//! single specification:
+//! binary-translation analog: basic blocks are predecoded once, translated,
+//! cached, and chained. Per (ISA, buildset) it synthesizes a translation
+//! layer from the same single specification:
 //!
 //! * **Flattened action chains.** Each instruction's present actions are
 //!   filtered into a dense array once at block-build time
@@ -21,10 +21,10 @@
 //!
 //! Links are *hints*, never trusted: each traversal validates that the
 //! linked block actually starts at the wanted PC, so stale links after an
-//! invalidation are harmless — they miss and get repatched. Cache-integrity
-//! rules mirror the cached backend: a chaos-poisoned build is returned as a
-//! one-shot block that is never inserted (and therefore never linkable), and
-//! unmap events drop the whole compiled cache.
+//! invalidation are harmless — they miss and get repatched. A chaos-poisoned
+//! build is returned as a one-shot block that is never inserted (and
+//! therefore never linkable), and unmap events drop the whole compiled
+//! cache.
 
 use crate::decode::PcMap;
 use crate::engine::{Backend, Block, PredecInst};
@@ -116,12 +116,12 @@ pub(crate) struct CompiledInst {
     pub(crate) bits: u32,
     /// Captured operand identifiers.
     pub(crate) ops: Operands,
-    /// Captured decode-time `(field, value)` pairs, with the opcode field
-    /// appended so one replay restores the whole decode frame.
-    pub(crate) fields: [(u8, u64); 5],
-    /// Number of valid entries in `fields`.
-    pub(crate) nfields: u8,
-    /// Validity mask covering exactly the `fields` entries — assigning it
+    /// Captured decode-time field values plus the opcode field, so one
+    /// replay restores the whole decode frame. They are stored in
+    /// increasing field-id order, one per field of `valid`, so the mask
+    /// doubles as the id list.
+    pub(crate) field_vals: [u64; 5],
+    /// The captured fields — assigning it as the frame's validity mask
     /// replaces the per-field mask updates of a set-by-set replay.
     pub(crate) valid: FieldSet,
     /// True when the decode action must re-run at execution time.
@@ -143,16 +143,10 @@ pub(crate) struct CompiledInst {
     pub(crate) mid_hi: u8,
     /// Run the lowered destination writes after the dispatched range.
     pub(crate) has_wb: bool,
-    /// Lowered source-operand reads.
+    /// Lowered source-operand reads, one per `ops` source.
     pub(crate) src_read: [SrcOp; MAX_SRC],
-    /// Live entries in `src_read`.
-    pub(crate) nsrc: u8,
-    /// Validity mask for the staged source fields (`SRC_FIELDS[..nsrc]`).
-    pub(crate) src_mask: FieldSet,
-    /// Lowered destination-operand writes.
+    /// Lowered destination-operand writes, one per `ops` destination.
     pub(crate) dest_write: [DestOp; MAX_DEST],
-    /// Live entries in `dest_write`.
-    pub(crate) ndest: u8,
 }
 
 impl CompiledInst {
@@ -195,15 +189,18 @@ impl CompiledInst {
                 mid_hi = chain_len - 1;
             }
         }
-        let src_mask =
-            SRC_FIELDS[..e.ops.srcs().len()].iter().fold(FieldSet::EMPTY, |s, &f| s.with(f));
-        let mut fields = [(0u8, 0u64); 5];
-        fields[..4].copy_from_slice(&e.fields);
-        fields[e.nfields as usize] = (F_OPCODE.0, e.op as u64);
-        let nfields = e.nfields + 1;
-        let valid = fields[..nfields as usize]
-            .iter()
-            .fold(FieldSet::EMPTY, |s, &(f, _)| s.with(FieldId(f)));
+        let captured = &e.fields[..e.nfields as usize];
+        let valid =
+            captured.iter().fold(FieldSet::EMPTY.with(F_OPCODE), |s, &(f, _)| s.with(FieldId(f)));
+        debug_assert_eq!(valid.len() as usize, captured.len() + 1, "decode set the opcode field");
+        let mut field_vals = [0u64; 5];
+        for (slot, f) in valid.iter().enumerate() {
+            // The one field decode did not capture is the appended opcode.
+            field_vals[slot] = match captured.iter().find(|&&(id, _)| id == f.0) {
+                Some(&(_, v)) => v,
+                None => u64::from(e.op),
+            };
+        }
         let mut src_read = [SrcOp::Call(read_nothing, 0); MAX_SRC];
         for (slot, &r) in src_read.iter_mut().zip(e.ops.srcs()) {
             *slot = lower_src(isa, r);
@@ -216,8 +213,7 @@ impl CompiledInst {
             op: e.op,
             bits: e.bits,
             ops: e.ops,
-            fields,
-            nfields,
+            field_vals,
             valid,
             fallback: e.fallback,
             chain,
@@ -228,13 +224,40 @@ impl CompiledInst {
             mid_hi,
             has_wb,
             src_read,
-            nsrc: e.ops.srcs().len() as u8,
-            src_mask,
             dest_write,
-            ndest: e.ops.dests().len() as u8,
         }
     }
+
+    /// The live lowered source reads.
+    #[inline]
+    pub(crate) fn src_reads(&self) -> &[SrcOp] {
+        &self.src_read[..self.ops.srcs().len()]
+    }
+
+    /// The live lowered destination writes.
+    #[inline]
+    pub(crate) fn dest_writes(&self) -> &[DestOp] {
+        &self.dest_write[..self.ops.dests().len()]
+    }
+
+    /// Validity mask for the staged source fields
+    /// (`SRC_FIELDS[..src_reads().len()]`).
+    #[inline]
+    pub(crate) fn src_mask(&self) -> FieldSet {
+        SRC_MASKS[self.ops.srcs().len()]
+    }
 }
+
+/// `SRC_FIELDS[..n]` as a mask, indexed by `n`.
+const SRC_MASKS: [FieldSet; MAX_SRC + 1] = {
+    let mut masks = [FieldSet::EMPTY; MAX_SRC + 1];
+    let mut n = 1;
+    while n <= MAX_SRC {
+        masks[n] = FieldSet(masks[n - 1].0 | 1u64 << SRC_FIELDS[n - 1].0);
+        n += 1;
+    }
+    masks
+};
 
 impl std::fmt::Debug for CompiledInst {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -313,17 +336,24 @@ impl Superblock {
         if n == 0 {
             return;
         }
-        // Prefer a real decode capture (an immediate, a shift amount — the
-        // slots before the appended opcode); settle for the opcode capture
-        // when the block holds nothing richer.
+        // Prefer a real decode capture (an immediate, a shift amount);
+        // settle for the opcode capture when the block holds nothing
+        // richer. Decode captures are counted in capture order (increasing
+        // field id), and the victim's value sits at its rank in `valid`.
         for wants_decode in [true, false] {
             for off in 0..n {
                 let e = &mut self.insts[(idx as usize + off) % n];
-                if e.fallback || e.nfields == 0 || (wants_decode && e.nfields < 2) {
+                let decode = FieldSet(e.valid.0 & !F_OPCODE.bit());
+                if e.fallback || (wants_decode && decode.is_empty()) {
                     continue;
                 }
-                let slot = if wants_decode { (bit as usize) % (e.nfields as usize - 1) } else { 0 };
-                e.fields[slot].1 ^= 1u64 << (bit % 64);
+                let victim = if wants_decode {
+                    decode.iter().nth(bit as usize % decode.len() as usize).expect("in range")
+                } else {
+                    F_OPCODE
+                };
+                let rank = (e.valid.0 & (victim.bit() - 1)).count_ones() as usize;
+                e.field_vals[rank] ^= 1u64 << (bit % 64);
                 return;
             }
         }
@@ -588,12 +618,9 @@ fn tir_inst(isa: &'static IsaSpec, op: u16, def: &'static InstDef) -> TirInst {
             .zip(EXEC_STEPS)
             .filter_map(|(a, s)| a.map(|_| s))
             .collect(),
-        srcs: ci.src_read[..ci.nsrc as usize]
-            .iter()
-            .zip(pred.ops.srcs())
-            .map(|(&s, &r)| tir_src(s, r))
-            .collect(),
-        dests: ci.dest_write[..ci.ndest as usize]
+        srcs: ci.src_reads().iter().zip(pred.ops.srcs()).map(|(&s, &r)| tir_src(s, r)).collect(),
+        dests: ci
+            .dest_writes()
             .iter()
             .zip(pred.ops.dests())
             .map(|(&d, &r)| tir_dest(d, r))
@@ -618,16 +645,9 @@ fn tir_inst(isa: &'static IsaSpec, op: u16, def: &'static InstDef) -> TirInst {
 /// rather than asserted. It allocates only the returned view — no caches,
 /// no counters, no translation output is perturbed.
 pub fn synthesize_view(isa: &'static IsaSpec, bs: &BuildsetDef) -> TranslationView {
-    let mut ladder = vec!["compiled"];
-    let mut b = Backend::Compiled;
-    while let Some(next) = b.demoted() {
-        ladder.push(match next {
-            Backend::Compiled => "compiled",
-            Backend::Cached => "cached",
-            Backend::Interpreted => "interpreted",
-        });
-        b = next;
-    }
+    let ladder = std::iter::successors(Some(Backend::Compiled), |b| b.demoted())
+        .map(Backend::name)
+        .collect();
     TranslationView {
         isa: isa.name,
         buildset: bs.name,
@@ -647,5 +667,28 @@ pub fn synthesize_view(isa: &'static IsaSpec, bs: &BuildsetDef) -> TranslationVi
             .enumerate()
             .map(|(op, def)| tir_inst(isa, op as u16, def))
             .collect(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn compiled_inst_is_208_bytes() {
+        // Every instruction of a translated block pays this, so cold code
+        // scales with it: the capture keeps ids and values in separate
+        // arrays (no per-pair padding), and the capture count, operand
+        // counts, and source mask are derived rather than stored.
+        assert_eq!(std::mem::size_of::<CompiledInst>(), 208);
+    }
+
+    #[test]
+    fn src_masks_are_the_source_field_prefixes() {
+        for (n, mask) in SRC_MASKS.iter().enumerate() {
+            let want = SRC_FIELDS[..n].iter().fold(FieldSet::EMPTY, |s, &f| s.with(f));
+            assert_eq!(*mask, want, "{n} sources");
+        }
     }
 }

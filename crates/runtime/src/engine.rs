@@ -17,7 +17,7 @@
 //!   undo record.
 //!
 //! The [`Backend`] choice is the analog of the paper's binary translation:
-//! the cached backend predecodes basic blocks once and reuses them, while
+//! the compiled backend translates basic blocks once and reuses them, while
 //! the interpreted backend re-fetches and re-decodes every time (the paper's
 //! footnote 5 comparison).
 
@@ -46,37 +46,69 @@ pub const STACK_TOP: u64 = 0x00f0_0000;
 /// Execution backend (the binary-translation analog).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Backend {
-    /// Predecode basic blocks once and cache them (default).
-    #[default]
-    Cached,
     /// Re-fetch and re-decode every instruction on every execution.
     Interpreted,
-    /// Translate superblocks: flattened direct-threaded action chains,
-    /// chained block successors, and buildset-specialized elision of
-    /// publish/undo work (the aggressive binary-translation analog; see
-    /// [`crate::compile`](self)).
+    /// Translate superblocks once and cache them: flattened
+    /// direct-threaded action chains, chained block successors, and
+    /// buildset-specialized elision of publish/undo work (the
+    /// binary-translation analog; see [`crate::compile`](self)). On one-
+    /// and step-semantic interfaces it keeps a per-PC decode cache.
+    #[default]
     Compiled,
 }
 
 impl Backend {
-    /// The next rung down the supervision ladder: each step trades
-    /// translation aggressiveness for trust (Compiled → Cached →
-    /// Interpreted). `None` at the bottom — the interpreted backend
-    /// re-fetches and re-decodes everything and keeps no state a fault
-    /// could poison, so there is nothing safer to demote to.
+    /// Every backend, in matrix order.
+    pub const ALL: [Backend; 2] = [Backend::Interpreted, Backend::Compiled];
+
+    /// Short lower-case name, for CLI flags, protocol fields, plan files,
+    /// report headers, and job labels.
+    pub fn name(self) -> &'static str {
+        match self {
+            Backend::Interpreted => "interpreted",
+            Backend::Compiled => "compiled",
+        }
+    }
+
+    /// Resolves a multi-backend selector: one backend name, or `all`.
+    ///
+    /// # Errors
+    ///
+    /// The [`std::str::FromStr`] message when `s` is neither.
+    pub fn select(s: &str) -> Result<Vec<Backend>, String> {
+        if s == "all" {
+            return Ok(Backend::ALL.to_vec());
+        }
+        s.parse().map(|b| vec![b]).map_err(|e| format!("{e}, or `all`"))
+    }
+
+    /// The next rung down the supervision ladder (Compiled → Interpreted).
+    /// `None` at the bottom — the interpreted backend re-fetches and
+    /// re-decodes everything and keeps no state a fault could poison, so
+    /// there is nothing safer to demote to.
     pub fn demoted(self) -> Option<Backend> {
         match self {
-            Backend::Compiled => Some(Backend::Cached),
-            Backend::Cached => Some(Backend::Interpreted),
+            Backend::Compiled => Some(Backend::Interpreted),
             Backend::Interpreted => None,
         }
+    }
+}
+
+impl std::str::FromStr for Backend {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Backend, String> {
+        Backend::ALL.into_iter().find(|b| b.name() == s).ok_or_else(|| {
+            let names: Vec<&str> = Backend::ALL.iter().map(|b| b.name()).collect();
+            format!("unknown backend `{s}` ({})", names.join("|"))
+        })
     }
 }
 
 /// Why the supervision ladder demoted the backend mid-run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DemotionReason {
-    /// A cache-verification freshness probe found a stale cached block or
+    /// A cache-verification freshness probe found a stale cached
     /// superblock (stale code after an unmap, self-modifying text, or a
     /// corrupted cache).
     CacheVerify,
@@ -124,7 +156,7 @@ impl std::fmt::Display for DemotionEvent {
     }
 }
 
-/// One predecoded instruction inside a cached block.
+/// One predecoded instruction inside a block.
 ///
 /// Decode actions are, by contract, pure functions of the instruction bits
 /// (they read no architectural state), so their results — the operand
@@ -162,7 +194,8 @@ impl std::fmt::Debug for PredecInst {
     }
 }
 
-/// A predecoded basic block.
+/// A predecoded basic block: what the translator compiles and what the
+/// interpreted backend executes directly, rebuilt on every call.
 #[derive(Debug)]
 pub(crate) struct Block {
     pub(crate) insts: Vec<PredecInst>,
@@ -226,7 +259,6 @@ pub struct Simulator {
     opcode: u16,
     expected: Step,
     inst_fault: bool,
-    blocks: PcMap<Rc<Block>>,
     inst_cache: PcMap<(u16, u32)>,
     /// Compiled-backend superblock cache (arena + PC index + chain links).
     compiled: CompiledCache,
@@ -318,7 +350,7 @@ impl Simulator {
         Simulator {
             isa,
             bs: buildset,
-            backend: Backend::Cached,
+            backend: Backend::Compiled,
             state: ArchState::new(isa.endian),
             os: OsState::new(0),
             undo: UndoLog::new(),
@@ -329,7 +361,6 @@ impl Simulator {
             opcode: ILLEGAL,
             expected: Step::Fetch,
             inst_fault: false,
-            blocks: PcMap::default(),
             inst_cache: PcMap::default(),
             compiled: CompiledCache::default(),
             checkpoints: Vec::new(),
@@ -349,7 +380,7 @@ impl Simulator {
         }
     }
 
-    /// Selects the execution backend (default: [`Backend::Cached`]).
+    /// Selects the execution backend (default: [`Backend::Compiled`]).
     pub fn set_backend(&mut self, backend: Backend) -> &mut Self {
         self.backend = backend;
         self.clear_caches();
@@ -410,12 +441,13 @@ impl Simulator {
         self.chaos.as_mut()
     }
 
-    /// Enables cached-backend self-verification: on every block-cache hit
-    /// the first instruction word is refetched and compared against the
+    /// Enables compiled-backend self-verification: on every superblock-cache
+    /// hit the first instruction word is refetched and compared against the
     /// cached copy. A mismatch (stale code after an unmap, self-modifying
-    /// text, a corrupted cache) does not abort the run — the block is
-    /// dropped and rebuilt from memory without re-caching, and the
-    /// degradation is counted in [`SimStats::fallback_blocks`].
+    /// text, a corrupted cache) does not abort the run — the superblock
+    /// cache is dropped, the block is rebuilt from memory without
+    /// re-caching, and the degradation is counted in
+    /// [`SimStats::fallback_blocks`].
     pub fn set_cache_verify(&mut self, on: bool) -> &mut Self {
         self.verify_cache = on;
         self
@@ -424,7 +456,7 @@ impl Simulator {
     /// Enables the backend demotion ladder: when a trust violation is
     /// detected mid-run — a cache-verification freshness failure or a
     /// chaos-poisoned build — the engine demotes itself one rung
-    /// (Compiled → Cached → Interpreted) and *continues* instead of only
+    /// (Compiled → Interpreted) and *continues* instead of only
     /// degrading block-by-block. Each demotion is recorded in
     /// [`Simulator::demotion_events`] and counted in
     /// [`SimStats::demotions`]. External supervisors (spot-check lockstep,
@@ -509,7 +541,6 @@ impl Simulator {
     /// Discards all predecoded and compiled state (needed after loading new
     /// code).
     pub fn clear_caches(&mut self) {
-        self.blocks.clear();
         self.inst_cache.clear();
         self.compiled.clear();
     }
@@ -528,17 +559,14 @@ impl Simulator {
         self.tainted
     }
 
-    /// Snapshots the translation caches as shareable plain data: predecoded
-    /// blocks, decode-cache entries, and compiled superblocks, each sorted
-    /// by PC. Returns `None` for a [tainted](Simulator::tainted) simulator —
+    /// Snapshots the translation caches as shareable plain data:
+    /// decode-cache entries and compiled superblocks, each sorted by PC.
+    /// Returns `None` for a [tainted](Simulator::tainted) simulator —
     /// nothing a chaos run built may escape into a shared store.
     pub fn export_artifacts(&self) -> Option<crate::Artifacts> {
         if self.tainted {
             return None;
         }
-        let mut blocks: Vec<(u64, Box<[PredecInst]>)> =
-            self.blocks.iter().map(|(&pc, b)| (pc, b.insts.clone().into_boxed_slice())).collect();
-        blocks.sort_unstable_by_key(|&(pc, _)| pc);
         let mut insts: Vec<(u64, (u16, u32))> =
             self.inst_cache.iter().map(|(&pc, &e)| (pc, e)).collect();
         insts.sort_unstable_by_key(|&(pc, _)| pc);
@@ -547,7 +575,6 @@ impl Simulator {
             buildset: self.bs.name,
             backend: self.backend,
             max_block: self.max_block,
-            blocks,
             insts,
             compiled: self.compiled.export(),
         })
@@ -584,12 +611,6 @@ impl Simulator {
             return Err(SeedError::MaxBlockMismatch);
         }
         let mut seeded = 0usize;
-        if self.backend == Backend::Cached {
-            for (pc, insts) in &art.blocks {
-                self.blocks.insert(*pc, Rc::new(Block { insts: insts.to_vec() }));
-                seeded += 1;
-            }
-        }
         if self.backend == Backend::Compiled {
             for (pc, insts) in &art.compiled {
                 let sb = Rc::new(Superblock::from_parts(*pc, insts.clone()));
@@ -860,7 +881,7 @@ impl Simulator {
             return self.run_all_actions(e.op);
         }
         self.ops = e.ops;
-        self.frame.replay(&e.fields[..e.nfields as usize], e.valid);
+        self.frame.replay(&e.field_vals, e.valid);
         let mut ex = self.exec(e.op);
         for a in &e.chain[..e.chain_len as usize] {
             a(&mut ex)?;
@@ -917,7 +938,6 @@ impl Simulator {
                 // unreliable (the chaos fault-storm invalidation path).
                 // Superblock chains go with it: links into a cleared arena
                 // can never validate.
-                self.blocks.clear();
                 self.inst_cache.clear();
                 self.compiled.clear();
             }
@@ -1049,7 +1069,7 @@ impl Simulator {
                 }
                 continue 'outer;
             }
-            let Ok(block) = self.lookup_block(pc) else { break };
+            let Ok(block) = self.interpret_block(pc) else { break };
             self.stats.blocks += 1;
             for (i, e) in block.insts.iter().enumerate() {
                 let ipc = (pc.wrapping_add(4 * i as u64)) & self.isa.pc_mask;
@@ -1096,7 +1116,7 @@ impl Simulator {
         // publication itself, not buffer construction.
         let mut count = 0usize;
 
-        let block = match self.lookup_block(pc) {
+        let block = match self.interpret_block(pc) {
             Ok(b) => b,
             Err(fault) => {
                 self.publish_head_fault(out, pc, fault);
@@ -1208,52 +1228,12 @@ impl Simulator {
         self.chaos.as_ref().is_some_and(|c| c.scripted_fetch_due())
     }
 
-    fn lookup_block(&mut self, pc: u64) -> Result<Rc<Block>, Fault> {
-        if self.backend == Backend::Cached && !self.scripted_bypass() {
-            if let Some(b) = self.blocks.get(&pc) {
-                let block = Rc::clone(b);
-                if !self.verify_cache || self.block_is_fresh(pc, &block) {
-                    return Ok(block);
-                }
-                // Graceful degradation: the cached block no longer matches
-                // memory (stale after an unmap, self-modifying text, or a
-                // corrupted cache). Drop it and fall back to a one-shot
-                // interpreted rebuild instead of executing stale code —
-                // and, on the demotion ladder, stop trusting this backend
-                // altogether.
-                self.blocks.remove(&pc);
-                self.stats.fallback_blocks += 1;
-                if self.demote {
-                    self.demote_now(DemotionReason::CacheVerify);
-                }
-                let (block, _) = self.build_block(pc)?;
-                self.stats.blocks_built += 1;
-                return Ok(Rc::new(block));
-            }
-        }
-        let (block, poisoned) = self.build_block(pc)?;
-        let block = Rc::new(block);
+    /// The interpreted backend's block: predecoded afresh on every call and
+    /// never cached, so nothing it runs can outlive the memory it came from.
+    fn interpret_block(&mut self, pc: u64) -> Result<Block, Fault> {
+        let (block, _) = self.build_block(pc)?;
         self.stats.blocks_built += 1;
-        if poisoned && self.demote {
-            self.demote_now(DemotionReason::PoisonedBuild);
-        }
-        // A chaos-corrupted build must stay transient: caching it would turn
-        // a single injected bit flip into a permanent code change.
-        if self.backend == Backend::Cached && !poisoned {
-            self.blocks.insert(pc, Rc::clone(&block));
-        }
         Ok(block)
-    }
-
-    /// Whether a cached block's first word still matches memory. The check
-    /// reads memory directly — it is an integrity probe, not an
-    /// architectural fetch, so chaos injection does not apply.
-    fn block_is_fresh(&self, pc: u64, block: &Block) -> bool {
-        let Some(first) = block.insts.first() else { return false };
-        match self.state.mem.fetch_u32(pc & self.isa.pc_mask, self.isa.endian) {
-            Ok(word) => word == first.bits,
-            Err(_) => false,
-        }
     }
 
     /// Looks up (or builds) the compiled superblock starting at `pc`,
@@ -1274,9 +1254,12 @@ impl Simulator {
                 self.compiled.last = idx;
                 return Ok((sb, idx));
             }
-            // Graceful degradation, as for the cached backend — except that
-            // chained successors may be equally stale, so the whole
-            // compiled cache is dropped, not just this entry.
+            // Graceful degradation: the cached superblock no longer matches
+            // memory (stale after an unmap, self-modifying text, or a
+            // corrupted cache). Chained successors may be equally stale, so
+            // the whole compiled cache is dropped and a one-shot rebuild
+            // runs instead of stale code — and, on the demotion ladder, this
+            // backend stops being trusted altogether.
             self.compiled.clear();
             self.stats.fallback_blocks += 1;
             if self.demote {
@@ -1325,9 +1308,11 @@ impl Simulator {
         sb
     }
 
-    /// [`Simulator::block_is_fresh`] for superblocks: same first-word
-    /// integrity probe, applied on every block entry (linked or indexed)
-    /// when cache verification is on.
+    /// Whether a cached superblock's first word still matches memory,
+    /// probed on every block entry (linked or indexed) when cache
+    /// verification is on. The check reads memory directly — it is an
+    /// integrity probe, not an architectural fetch, so chaos injection does
+    /// not apply.
     fn superblock_is_fresh(&self, pc: u64, sb: &Superblock) -> bool {
         let Some(first) = sb.insts.first() else { return false };
         match self.state.mem.fetch_u32(pc & self.isa.pc_mask, self.isa.endian) {
@@ -1647,14 +1632,17 @@ impl Simulator {
         // (not per instruction) over split field borrows.
         let fast = self.chaos.is_none() && !self.bs.speculation;
         while !self.state.halted {
+            // Budget first: the block whose lookup demoted the backend has
+            // already run to its end and may have crossed the budget, and a
+            // hand-back must leave `run_to_halt` a nonnegative remainder.
+            if self.stats.insts - start >= max_insts {
+                return Err(SimStop::MaxInsts);
+            }
             if self.backend != Backend::Compiled {
                 // The demotion ladder fired inside a lookup: this driver's
                 // translations are no longer trusted, so hand the rest of
                 // the run back to `run_to_halt` for re-dispatch.
                 break;
-            }
-            if self.stats.insts - start >= max_insts {
-                return Err(SimStop::MaxInsts);
             }
             if let Some((t0, limit)) = started_at {
                 if ticks & 0x3f == 0 && t0.elapsed() >= limit {
@@ -1776,7 +1764,7 @@ impl Simulator {
                     }
                 } else {
                     *ex.ops = e.ops;
-                    ex.frame.replay(&e.fields[..e.nfields as usize], e.valid);
+                    ex.frame.replay(&e.field_vals, e.valid);
                     let mut r = Ok(());
                     for a in &e.chain[..e.pre_hi as usize] {
                         r = a(&mut ex);
@@ -1792,7 +1780,7 @@ impl Simulator {
                             // loads; the rest keep their resolved
                             // accessor. Values are staged and the validity
                             // mask updated once for the batch.
-                            for (j, src) in e.src_read[..e.nsrc as usize].iter().enumerate() {
+                            for (j, src) in e.src_reads().iter().enumerate() {
                                 let v = match *src {
                                     SrcOp::Gpr(i) => ex.state.gpr[i as usize],
                                     SrcOp::Spr(s) => ex.state.spr[s as usize],
@@ -1800,7 +1788,7 @@ impl Simulator {
                                 };
                                 ex.frame.stage(SRC_FIELDS[j], v);
                             }
-                            ex.frame.mark_valid(e.src_mask);
+                            ex.frame.mark_valid(e.src_mask());
                         }
                         for a in &e.chain[e.mid_lo as usize..e.mid_hi as usize] {
                             r = a(&mut ex);
@@ -1814,7 +1802,7 @@ impl Simulator {
                         // without an undo log by precondition, so the
                         // write is unconditional once the value field
                         // exists.
-                        for (j, dest) in e.dest_write[..e.ndest as usize].iter().enumerate() {
+                        for (j, dest) in e.dest_writes().iter().enumerate() {
                             if let Some(v) = ex.frame.try_get(DEST_FIELDS[j]) {
                                 match *dest {
                                     DestOp::Gpr(i, m) => ex.state.gpr[i as usize] = v & m,

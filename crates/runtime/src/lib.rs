@@ -19,7 +19,7 @@
 //! (hiding a value that must cross a call boundary) is caught before any
 //! instruction executes.
 //!
-//! The [`Backend`] selects between the cached (predecoded basic blocks, the
+//! The [`Backend`] selects between the compiled (translated superblocks, the
 //! binary-translation analog) and interpreted execution styles.
 
 #![warn(missing_docs)]

@@ -13,16 +13,16 @@ pub struct SimStats {
     pub blocks: u64,
     /// Faults reported.
     pub faults: u64,
-    /// Basic blocks predecoded (cache misses for the cached backend; every
-    /// block call for the interpreted backend).
+    /// Basic blocks predecoded (superblock-cache misses for the compiled
+    /// backend; every block call for the interpreted backend).
     pub blocks_built: u64,
     /// Checkpoints taken.
     pub checkpoints: u64,
     /// Rollbacks performed.
     pub rollbacks: u64,
-    /// Cached blocks found stale by cache verification and re-executed via
-    /// a one-shot interpreted rebuild (graceful degradation) instead of
-    /// aborting the run.
+    /// Cached superblocks found stale by cache verification and re-executed
+    /// via a one-shot rebuild (graceful degradation) instead of aborting the
+    /// run.
     pub fallback_blocks: u64,
     /// Field values copied across the interface boundary by the publication
     /// loop (informational-detail work, counted per published field store).
@@ -33,7 +33,7 @@ pub struct SimStats {
     /// non-speculative buildsets.
     pub undo_records: u64,
     /// Backend demotions taken mid-run by the supervision ladder
-    /// (Compiled → Cached → Interpreted). Zero unless demotion is enabled
+    /// (Compiled → Interpreted). Zero unless demotion is enabled
     /// and a trust violation or deadline pressure forced a downgrade.
     /// Excluded from [`detail_units`](Self::detail_units): a demotion is a
     /// supervision action, not interface work.

@@ -54,30 +54,28 @@ fn run_cold(backend: Backend) -> (Simulator, lis_runtime::Artifacts) {
 
 #[test]
 fn warm_start_matches_cold_and_builds_nothing() {
-    for backend in [Backend::Cached, Backend::Compiled] {
-        let (cold, art) = run_cold(backend);
+    let (cold, art) = run_cold(Backend::Compiled);
 
-        let mut warm = Simulator::new(toy::spec(), BLOCK_ALL).expect("builds");
-        warm.set_backend(backend);
-        warm.load_program(&loop_program()).expect("loads");
-        let seeded = warm.seed_artifacts(&art).expect("seeds");
-        assert_eq!(seeded, art.len(), "{backend:?}: every translation adopted");
-        let summary = warm.run_to_halt(10_000).expect("runs");
-        assert!(summary.halted && summary.exit_code == 7);
+    let mut warm = Simulator::new(toy::spec(), BLOCK_ALL).expect("builds");
+    warm.set_backend(Backend::Compiled);
+    warm.load_program(&loop_program()).expect("loads");
+    let seeded = warm.seed_artifacts(&art).expect("seeds");
+    assert_eq!(seeded, art.len(), "every translation adopted");
+    let summary = warm.run_to_halt(10_000).expect("runs");
+    assert!(summary.halted && summary.exit_code == 7);
 
-        assert_eq!(warm.stdout(), cold.stdout(), "{backend:?}: same output");
-        assert_eq!(warm.stats.blocks_built, 0, "{backend:?}: warm run builds nothing");
-        assert_eq!(warm.stats.seeded_blocks, seeded as u64);
-        assert_eq!(warm.stats.insts, cold.stats.insts);
-        assert_eq!(
-            warm.stats.detail_units(),
-            cold.stats.detail_units(),
-            "{backend:?}: seeding is build amortization, not interface work"
-        );
-        // A second export round-trips to the same content.
-        let again = warm.export_artifacts().expect("warm sim exports");
-        assert_eq!(again.len(), art.len());
-    }
+    assert_eq!(warm.stdout(), cold.stdout(), "same output");
+    assert_eq!(warm.stats.blocks_built, 0, "warm run builds nothing");
+    assert_eq!(warm.stats.seeded_blocks, seeded as u64);
+    assert_eq!(warm.stats.insts, cold.stats.insts);
+    assert_eq!(
+        warm.stats.detail_units(),
+        cold.stats.detail_units(),
+        "seeding is build amortization, not interface work"
+    );
+    // A second export round-trips to the same content.
+    let again = warm.export_artifacts().expect("warm sim exports");
+    assert_eq!(again.len(), art.len());
 }
 
 #[test]
@@ -114,17 +112,17 @@ fn chaos_taints_export_and_seed_forever() {
 
     // Nor may a tainted sim adopt shared artifacts: its invalidation rules
     // are per-session.
-    let (_, art) = run_cold(Backend::Cached);
+    let (_, art) = run_cold(Backend::Compiled);
     sim.load_program(&loop_program()).expect("loads");
     assert_eq!(sim.seed_artifacts(&art), Err(SeedError::Tainted));
 }
 
 #[test]
 fn seed_rejects_mismatched_configurations() {
-    let (_, art) = run_cold(Backend::Cached);
+    let (_, art) = run_cold(Backend::Compiled);
 
     let mut wrong_backend = Simulator::new(toy::spec(), BLOCK_ALL).expect("builds");
-    wrong_backend.set_backend(Backend::Compiled);
+    wrong_backend.set_backend(Backend::Interpreted);
     wrong_backend.load_program(&loop_program()).expect("loads");
     assert_eq!(wrong_backend.seed_artifacts(&art), Err(SeedError::BackendMismatch));
 

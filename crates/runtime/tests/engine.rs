@@ -52,7 +52,7 @@ fn run(bs: BuildsetDef, backend: Backend) -> Simulator {
 
 #[test]
 fn loop_program_runs_under_one_all() {
-    let sim = run(ONE_ALL, Backend::Cached);
+    let sim = run(ONE_ALL, Backend::Compiled);
     assert_eq!(String::from_utf8_lossy(sim.stdout()), "55\n");
     // 3 setup + 10 * 3 loop + 3 print + 3 exit = 39 instructions
     assert_eq!(sim.stats.insts, 39);
@@ -61,9 +61,9 @@ fn loop_program_runs_under_one_all() {
 
 #[test]
 fn all_standard_buildsets_agree() {
-    let reference = run(ONE_ALL, Backend::Cached);
+    let reference = run(ONE_ALL, Backend::Compiled);
     for bs in STANDARD_BUILDSETS {
-        let sim = run(bs, Backend::Cached);
+        let sim = run(bs, Backend::Compiled);
         assert_eq!(sim.stdout(), reference.stdout(), "{}", bs.name);
         assert!(
             sim.state.regs_eq(&reference.state),
@@ -77,23 +77,24 @@ fn all_standard_buildsets_agree() {
 
 #[test]
 fn interpreted_backend_agrees() {
-    let cached = run(BLOCK_ALL, Backend::Cached);
+    let compiled = run(BLOCK_ALL, Backend::Compiled);
     let interp = run(BLOCK_ALL, Backend::Interpreted);
-    assert_eq!(cached.stdout(), interp.stdout());
-    assert!(cached.state.regs_eq(&interp.state));
-    // The cached backend builds each block once; interpreted rebuilds per call.
-    assert!(cached.stats.blocks_built < interp.stats.blocks_built);
+    assert_eq!(compiled.stdout(), interp.stdout());
+    assert!(compiled.state.regs_eq(&interp.state));
+    // The compiled backend builds each block once; interpreted rebuilds per
+    // call.
+    assert!(compiled.stats.blocks_built < interp.stats.blocks_built);
 }
 
 #[test]
 fn step_interface_makes_seven_calls_per_inst() {
-    let sim = run(STEP_ALL, Backend::Cached);
+    let sim = run(STEP_ALL, Backend::Compiled);
     assert_eq!(sim.stats.calls, sim.stats.insts * 7);
 }
 
 #[test]
 fn block_interface_amortizes_calls() {
-    let sim = run(BLOCK_MIN, Backend::Cached);
+    let sim = run(BLOCK_MIN, Backend::Compiled);
     assert!(sim.stats.calls < sim.stats.insts);
     assert!(sim.stats.mean_block_len() > 1.0);
 }
@@ -303,7 +304,7 @@ fn redirect_moves_fetch() {
 
 #[test]
 fn calling_after_halt_errors() {
-    let mut sim = run(ONE_ALL, Backend::Cached);
+    let mut sim = run(ONE_ALL, Backend::Compiled);
     let mut di = DynInst::new();
     assert!(matches!(sim.next_inst(&mut di), Err(IfaceError::Halted)));
 }

@@ -61,39 +61,12 @@ fn deadline_far_away_does_not_fire() {
 }
 
 #[test]
-fn stale_cached_block_falls_back_instead_of_running_stale_code() {
-    // r2 += 1 forever; the whole loop is one cached block.
-    let prog = image(&[toy::addi(2, 2, 1), toy::jmp(-2)]);
-    let mut sim = Simulator::new(toy::spec(), BLOCK_MIN).unwrap();
-    sim.set_backend(Backend::Cached);
-    sim.set_cache_verify(true);
-    sim.load_program(&prog).unwrap();
-
-    let mut buf = Vec::new();
-    sim.next_block(&mut buf).unwrap();
-    assert_eq!(sim.state.gpr[2], 1);
-    assert_eq!(sim.stats.fallback_blocks, 0);
-
-    // The code changes underneath the cache: r2 += 1 becomes r2 += 100.
-    sim.poke_mem(0x1000, 4, toy::addi(2, 2, 100) as u64).unwrap();
-    sim.next_block(&mut buf).unwrap();
-    assert_eq!(sim.state.gpr[2], 101, "the rebuilt block must run the new code");
-    assert_eq!(sim.stats.fallback_blocks, 1);
-
-    // The fallback rebuild is not cached poisoned; the fresh word is now
-    // what the cache verifies against, so no further fallbacks occur.
-    sim.next_block(&mut buf).unwrap();
-    assert_eq!(sim.state.gpr[2], 201);
-    assert_eq!(sim.stats.fallback_blocks, 1);
-}
-
-#[test]
 fn without_cache_verify_stale_blocks_keep_running() {
     // The contrast case: verification off (the default) executes the cached
     // copy, which is exactly why `lis chaos` switches verification on.
     let prog = image(&[toy::addi(2, 2, 1), toy::jmp(-2)]);
     let mut sim = Simulator::new(toy::spec(), BLOCK_MIN).unwrap();
-    sim.set_backend(Backend::Cached);
+    sim.set_backend(Backend::Compiled);
     sim.load_program(&prog).unwrap();
     let mut buf = Vec::new();
     sim.next_block(&mut buf).unwrap();
@@ -105,10 +78,10 @@ fn without_cache_verify_stale_blocks_keep_running() {
 
 #[test]
 fn stale_compiled_superblock_falls_back_and_drops_the_cache() {
-    // Same scenario as the cached-backend test above, on the compiled
-    // backend: cache verification catches the changed word, the whole
-    // superblock cache is dropped (chain links may dangle into it), and a
-    // one-shot uncached rebuild runs the fresh code.
+    // r2 += 1 forever; the whole loop is one cached superblock. Cache
+    // verification catches the changed word, the whole superblock cache is
+    // dropped (chain links may dangle into it), and a one-shot uncached
+    // rebuild runs the fresh code instead of the stale translation.
     let prog = image(&[toy::addi(2, 2, 1), toy::jmp(-2)]);
     let mut sim = Simulator::new(toy::spec(), BLOCK_MIN).unwrap();
     sim.set_backend(Backend::Compiled);
@@ -214,12 +187,12 @@ fn chaos_runs_are_deterministic_and_logged() {
 
 #[test]
 fn chaos_bit_flips_never_poison_the_cache() {
-    // Run the same program twice on one cached simulator: once under heavy
-    // flip injection, then with chaos removed. The second run must be
-    // fault-free — any flipped word that leaked into the predecode caches
-    // would keep faulting forever.
+    // Run the same program twice on one compiled simulator: once under
+    // heavy flip injection, then with chaos removed. The second run must be
+    // fault-free — any flipped word that leaked into the decode cache would
+    // keep faulting forever.
     let mut sim = Simulator::new(toy::spec(), ONE_ALL).unwrap();
-    sim.set_backend(Backend::Cached);
+    sim.set_backend(Backend::Compiled);
     sim.load_program(&loop_program()).unwrap();
     sim.set_chaos(ChaosPlan {
         seed: 3,
@@ -292,11 +265,11 @@ fn step_sequence_recovers_after_out_of_order_call() {
 
 #[test]
 fn chaos_page_unmap_is_survivable_with_cache_verify() {
-    // Unmap-heavy plan on the cached backend with verification on: the run
-    // may fault (the handler skips), but the engine must neither panic nor
-    // execute stale blocks, and fallbacks are counted.
+    // Unmap-heavy plan on the compiled backend with verification on: the
+    // run may fault (the handler skips), but the engine must neither panic
+    // nor execute stale blocks.
     let mut sim = Simulator::new(toy::spec(), BLOCK_MIN).unwrap();
-    sim.set_backend(Backend::Cached);
+    sim.set_backend(Backend::Compiled);
     sim.set_cache_verify(true);
     sim.load_program(&loop_program()).unwrap();
     sim.set_chaos(ChaosPlan {
@@ -327,11 +300,10 @@ fn chaos_page_unmap_is_survivable_with_cache_verify() {
 }
 
 #[test]
-fn demotion_ladder_walks_compiled_to_cached_to_interpreted() {
+fn demotion_ladder_walks_compiled_to_interpreted() {
     let mut sim = Simulator::new(toy::spec(), BLOCK_MIN).unwrap();
     sim.set_backend(Backend::Compiled);
     sim.load_program(&loop_program()).unwrap();
-    assert_eq!(sim.demote_now(DemotionReason::Requested), Some(Backend::Cached));
     assert_eq!(sim.demote_now(DemotionReason::Requested), Some(Backend::Interpreted));
     assert_eq!(
         sim.demote_now(DemotionReason::Requested),
@@ -339,12 +311,11 @@ fn demotion_ladder_walks_compiled_to_cached_to_interpreted() {
         "the ladder ends at the reference interpreter"
     );
     assert_eq!(sim.backend(), Backend::Interpreted);
-    assert_eq!(sim.stats.demotions, 2);
+    assert_eq!(sim.stats.demotions, 1);
     let log = sim.demotion_events();
-    assert_eq!(log.len(), 2);
-    assert_eq!((log[0].from, log[0].to), (Backend::Compiled, Backend::Cached));
-    assert_eq!((log[1].from, log[1].to), (Backend::Cached, Backend::Interpreted));
-    assert!(log.iter().all(|e| matches!(e.reason, DemotionReason::Requested)));
+    assert_eq!(log.len(), 1);
+    assert_eq!((log[0].from, log[0].to), (Backend::Compiled, Backend::Interpreted));
+    assert_eq!(log[0].reason, DemotionReason::Requested);
     // The program still completes on the fully demoted backend.
     let summary = sim.run_to_halt(10_000).unwrap();
     assert_eq!(summary.exit_code, 7);
@@ -356,8 +327,9 @@ fn run_to_halt_re_dispatches_after_a_cache_verify_demotion() {
     // Enter the hot loop on the compiled backend, then change the loop body
     // underneath the superblock cache — to a different encoding of the same
     // computation, so the program's meaning is preserved. With the ladder
-    // armed, the freshness probe must demote Compiled -> Cached *mid-run*
-    // and `run_to_halt` must finish the program on the demoted backend.
+    // armed, the freshness probe must demote Compiled -> Interpreted
+    // *mid-run* and `run_to_halt` must finish the program on the demoted
+    // backend.
     let mut sim = Simulator::new(toy::spec(), BLOCK_MIN).unwrap();
     sim.set_backend(Backend::Compiled);
     sim.set_cache_verify(true);
@@ -374,12 +346,36 @@ fn run_to_halt_re_dispatches_after_a_cache_verify_demotion() {
     let summary = sim.run_to_halt(100_000).unwrap();
     assert_eq!(summary.exit_code, 7);
     assert_eq!(String::from_utf8_lossy(sim.stdout()), "55\n");
-    assert_eq!(sim.backend(), Backend::Cached, "one rung down, not a full abort");
+    assert_eq!(sim.backend(), Backend::Interpreted, "one rung down, not an abort");
     assert_eq!(sim.stats.demotions, 1);
     let log = sim.demotion_events();
     assert_eq!(log.len(), 1);
     assert!(matches!(log[0].reason, DemotionReason::CacheVerify));
-    assert_eq!((log[0].from, log[0].to), (Backend::Compiled, Backend::Cached));
+    assert_eq!((log[0].from, log[0].to), (Backend::Compiled, Backend::Interpreted));
+}
+
+#[test]
+fn demotion_mid_block_past_the_budget_stops_at_max_insts() {
+    // A four-instruction loop: one superblock. After a warm-up that caches
+    // it, its first word changes, so the next lookup demotes the backend —
+    // but the one-shot rebuild still runs all four instructions, crossing a
+    // budget of two. The run must stop with `MaxInsts`, not hand a negative
+    // remainder back to `run_to_halt`.
+    let prog = image(&[toy::addi(2, 2, 1), toy::addi(3, 3, 1), toy::addi(4, 4, 1), toy::jmp(-4)]);
+    let mut sim = Simulator::new(toy::spec(), BLOCK_MIN).unwrap();
+    sim.set_backend(Backend::Compiled);
+    sim.set_cache_verify(true);
+    sim.set_demote(true);
+    sim.load_program(&prog).unwrap();
+    assert!(matches!(sim.run_to_halt(4), Err(SimStop::MaxInsts)));
+    assert_eq!(sim.stats.insts, 4);
+
+    sim.poke_mem(0x1000, 4, toy::addi(2, 2, 100) as u64).unwrap();
+    assert!(matches!(sim.run_to_halt(2), Err(SimStop::MaxInsts)));
+    assert_eq!(sim.stats.insts, 8, "the demoting block ran to its end");
+    assert_eq!(sim.backend(), Backend::Interpreted);
+    assert_eq!(sim.stats.demotions, 1);
+    assert_eq!(sim.state.gpr[2], 101, "the rebuilt block ran the new code");
 }
 
 #[test]

@@ -72,12 +72,7 @@ pub fn execute(req: &Request, ctx: &Ctx) -> Outcome {
 }
 
 fn backend_of(name: &str) -> Result<Backend, Outcome> {
-    match name {
-        "cached" => Ok(Backend::Cached),
-        "interpreted" => Ok(Backend::Interpreted),
-        "compiled" => Ok(Backend::Compiled),
-        other => Err(Outcome::fail(2, format!("unknown backend `{other}`"))),
-    }
+    name.parse().map_err(|e| Outcome::fail(2, e))
 }
 
 fn spec_of(isa: &str) -> Result<&'static lis_core::IsaSpec, Outcome> {
@@ -284,18 +279,9 @@ fn exec_chaos(
 }
 
 fn exec_sweep_cell(kernels: &[String], backends: &str, timings: &[String], max: u64) -> Outcome {
-    let backends = match backends {
-        "cached" => vec![Backend::Cached],
-        "interpreted" => vec![Backend::Interpreted],
-        "compiled" => vec![Backend::Compiled],
-        "both" => vec![Backend::Cached, Backend::Interpreted],
-        "all" => vec![Backend::Cached, Backend::Interpreted, Backend::Compiled],
-        other => {
-            return Outcome::fail(
-                2,
-                format!("unknown backends `{other}` (cached|interpreted|compiled|both|all)"),
-            )
-        }
+    let backends = match Backend::select(backends) {
+        Ok(b) => b,
+        Err(e) => return Outcome::fail(2, e),
     };
     let timings = match lis_bench::resolve_timings(timings) {
         Ok(t) => t,
@@ -445,9 +431,9 @@ mod tests {
     fn run_usage_errors_are_status_2() {
         let ctx = ctx();
         for req in [
-            run_req("vax", "gcd", "block-all", "cached"),
-            run_req("alpha", "nope", "block-all", "cached"),
-            run_req("alpha", "gcd", "block-everything", "cached"),
+            run_req("vax", "gcd", "block-all", "compiled"),
+            run_req("alpha", "nope", "block-all", "compiled"),
+            run_req("alpha", "gcd", "block-everything", "compiled"),
             run_req("alpha", "gcd", "block-all", "jit"),
         ] {
             let out = execute(&req, &ctx);

@@ -42,7 +42,7 @@ pub enum Request {
         src: Option<String>,
         /// Buildset name (default `one-all`, as for `lis run`).
         buildset: String,
-        /// Backend name (default `cached`).
+        /// Backend name (default `compiled`).
         backend: String,
         /// Instruction budget (default 100M, as for `lis run`).
         max: u64,
@@ -63,7 +63,7 @@ pub enum Request {
         kernel: String,
         /// Buildset name (default `block-all`).
         buildset: String,
-        /// Backend name (default `cached`).
+        /// Backend name (default `compiled`).
         backend: String,
         /// First campaign seed.
         seed: u64,
@@ -81,7 +81,7 @@ pub enum Request {
     SweepCell {
         /// Kernel subset; empty means the full suite.
         kernels: Vec<String>,
-        /// Backend set name (`cached|interpreted|compiled|both|all`).
+        /// Backend set: one backend name, or `all` (default `compiled`).
         backends: String,
         /// Timing-preset names to cross with the matrix; empty means
         /// `classic` only.
@@ -269,7 +269,7 @@ pub fn parse_frame(line: &str) -> Result<Frame, ProtocolError> {
                 kernel,
                 src,
                 buildset: str_field(&v, "buildset", "one-all")?,
-                backend: str_field(&v, "backend", "cached")?,
+                backend: str_field(&v, "backend", "compiled")?,
                 max: u64_field(&v, "max", 100_000_000)?,
             }
         }
@@ -284,7 +284,7 @@ pub fn parse_frame(line: &str) -> Result<Frame, ProtocolError> {
                 .to_string(),
             kernel: str_field(&v, "kernel", "strrev")?,
             buildset: str_field(&v, "buildset", "block-all")?,
-            backend: str_field(&v, "backend", "cached")?,
+            backend: str_field(&v, "backend", "compiled")?,
             seed: u64_field(&v, "seed", 1)?,
             period: u64_field(&v, "period", 500)?.max(1),
             runs: u64_field(&v, "runs", 4)?.clamp(1, 64),
@@ -293,7 +293,7 @@ pub fn parse_frame(line: &str) -> Result<Frame, ProtocolError> {
         },
         "sweep-cell" => Request::SweepCell {
             kernels: str_list_field(&v, "kernels")?,
-            backends: str_field(&v, "backends", "cached")?,
+            backends: str_field(&v, "backends", "compiled")?,
             timings: str_list_field(&v, "timings")?,
             max: u64_field(&v, "max", 100_000_000)?,
         },
@@ -347,7 +347,7 @@ mod tests {
         assert_eq!(kernel.as_deref(), Some("gcd"));
         assert_eq!(src, None);
         assert_eq!(buildset, "one-all");
-        assert_eq!(backend, "cached");
+        assert_eq!(backend, "compiled");
         assert_eq!(max, 100_000_000);
     }
 

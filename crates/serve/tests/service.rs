@@ -202,7 +202,7 @@ fn concurrent_sessions_make_progress_together() {
             std::thread::spawn(move || {
                 let mut c = Client::connect(addr);
                 let frame = format!(
-                    r#"{{"lis":1,"id":{i},"cmd":"run","isa":"arm","kernel":"gcd","backend":"cached"}}"#
+                    r#"{{"lis":1,"id":{i},"cmd":"run","isa":"arm","kernel":"gcd","backend":"compiled"}}"#
                 );
                 let resp = c.send(&frame);
                 assert_eq!(status_of(&resp), 0, "{resp:?}");
@@ -224,6 +224,22 @@ fn concurrent_sessions_make_progress_together() {
     assert_eq!(store_counter(&st, "entries"), 1, "{st:?}");
     assert_eq!(store_counter(&st, "misses") + store_counter(&st, "hits"), 4, "{st:?}");
 
+    assert_eq!(shutdown_and_join(addr, handle), 0);
+}
+
+#[test]
+fn retired_backend_names_are_usage_errors() {
+    let (addr, handle) = start_server();
+    let mut c = Client::connect(addr);
+    for frame in [
+        r#"{"lis":1,"id":1,"cmd":"run","isa":"alpha","kernel":"gcd","backend":"cached"}"#,
+        r#"{"lis":1,"id":2,"cmd":"sweep-cell","kernels":["gcd"],"backends":"cached"}"#,
+    ] {
+        let resp = c.send(frame);
+        assert_eq!(status_of(&resp), 2, "{resp:?}");
+        let err = resp.get("error").and_then(Value::as_str).expect("error string");
+        assert!(err.contains("unknown backend `cached`"), "{err}");
+    }
     assert_eq!(shutdown_and_join(addr, handle), 0);
 }
 

@@ -31,9 +31,9 @@ fn run(
 
 fn check_all_interfaces(isa: &str, seed: u64, len: usize) {
     let src = random_program(isa, seed, len);
-    let reference = run(isa, &src, lis_core::ONE_ALL, Backend::Cached);
+    let reference = run(isa, &src, lis_core::ONE_ALL, Backend::Compiled);
     for bs in STANDARD_BUILDSETS {
-        for backend in [Backend::Cached, Backend::Interpreted] {
+        for backend in Backend::ALL {
             let got = run(isa, &src, bs, backend);
             assert_eq!(got.1, reference.1, "{isa}/{}/{backend:?}: stdout differs", bs.name);
             assert_eq!(got.2, reference.2, "{isa}/{}/{backend:?}: inst count differs", bs.name);
