@@ -1243,7 +1243,7 @@ fn cmd_serve(opts: &Opts) -> Result<u8, String> {
 }
 
 fn cmd_connect(opts: &Opts) -> Result<u8, String> {
-    use std::io::{BufRead, Write};
+    use std::io::BufRead;
     let addr = opts.input.clone().ok_or("connect needs a daemon address argument")?;
     let stream = std::net::TcpStream::connect(&addr).map_err(|e| format!("connect {addr}: {e}"))?;
     let mut out = stream.try_clone().map_err(|e| e.to_string())?;
@@ -1254,9 +1254,7 @@ fn cmd_connect(opts: &Opts) -> Result<u8, String> {
         if line.trim().is_empty() {
             continue;
         }
-        out.write_all(line.as_bytes()).map_err(|e| e.to_string())?;
-        out.write_all(b"\n").map_err(|e| e.to_string())?;
-        out.flush().map_err(|e| e.to_string())?;
+        lis_serve::write_frame(&mut out, &line).map_err(|e| e.to_string())?;
         let mut resp = String::new();
         let n = reader.read_line(&mut resp).map_err(|e| e.to_string())?;
         if n == 0 {

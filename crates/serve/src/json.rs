@@ -95,7 +95,7 @@ impl std::error::Error for JsonError {}
 ///
 /// A [`JsonError`] with the byte offset of the first problem.
 pub fn parse(input: &str) -> Result<Value, JsonError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { src: input, bytes: input.as_bytes(), pos: 0 };
     p.skip_ws();
     let v = p.value(0)?;
     p.skip_ws();
@@ -106,6 +106,7 @@ pub fn parse(input: &str) -> Result<Value, JsonError> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -210,12 +211,16 @@ impl Parser<'_> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).expect("valid utf8");
-                    let ch = rest.chars().next().expect("peeked a byte");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the whole run of unescaped bytes at once. A run
+                    // ends on an ASCII byte (or the end of input), so both
+                    // ends are char boundaries of the `&str` input.
+                    let start = self.pos;
+                    let run = self.bytes[start..]
+                        .iter()
+                        .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+                        .unwrap_or(self.bytes.len() - start);
+                    self.pos += run;
+                    out.push_str(&self.src[start..self.pos]);
                 }
             }
         }
@@ -371,6 +376,29 @@ mod tests {
         let bomb = "[".repeat(MAX_DEPTH + 2) + &"]".repeat(MAX_DEPTH + 2);
         let err = parse(&bomb).expect_err("depth bomb rejected");
         assert!(err.msg.contains("deep"), "{err}");
+    }
+
+    proptest::proptest! {
+        /// Whatever `JsonObj` writes, `parse` reads back unchanged: plain
+        /// runs, escapes, control characters and multi-byte characters in
+        /// any mix.
+        #[test]
+        fn strings_round_trip_through_jsonobj(
+            chars in proptest::collection::vec(
+                proptest::sample::select(vec![
+                    'a', 'Z', '0', ' ', '/', '~', '"', '\\', '\n', '\r', '\t', '\u{0}',
+                    '\u{8}', '\u{c}', '\u{1f}', '\u{7f}', 'é', 'ß', '€', '\u{fffd}', '😀',
+                    '\u{10ffff}',
+                ]),
+                0..48,
+            )
+        ) {
+            let s: String = chars.into_iter().collect();
+            let mut o = lis_core::JsonObj::new();
+            o.str("s", &s);
+            let v = parse(&o.finish()).expect("parses our own writer");
+            proptest::prop_assert_eq!(v.get("s").and_then(Value::as_str), Some(s.as_str()));
+        }
     }
 
     #[test]

@@ -36,6 +36,8 @@ pub mod scheduler;
 pub mod server;
 
 pub use exec::{execute, Ctx, Outcome};
-pub use protocol::{parse_frame, Frame, ProtocolError, Request, MAX_FRAME_LEN, PROTOCOL_VERSION};
+pub use protocol::{
+    parse_frame, write_frame, Frame, ProtocolError, Request, MAX_FRAME_LEN, PROTOCOL_VERSION,
+};
 pub use scheduler::{DrainReport, Scheduler, SchedulerStats, SubmitError, QUEUE_LIMIT};
 pub use server::{ServeConfig, Server, EXIT_ABANDONED};

@@ -12,6 +12,7 @@
 //! down, let alone the daemon.
 
 use crate::json::{self, Value};
+use std::io::Write;
 
 /// Protocol version spoken (and required) by this daemon.
 pub const PROTOCOL_VERSION: u64 = 1;
@@ -313,6 +314,21 @@ pub fn parse_frame(line: &str) -> Result<Frame, ProtocolError> {
     Ok(Frame { id, req })
 }
 
+/// Sends one frame: the line and its newline in a single `write_all`, then
+/// a flush. Splitting a frame over two writes lets Nagle's algorithm hold
+/// the newline until the peer's delayed ACK, about 40 ms per round trip.
+///
+/// # Errors
+///
+/// Propagates the write or flush failure.
+pub fn write_frame<W: Write>(w: &mut W, line: &str) -> std::io::Result<()> {
+    let mut frame = Vec::with_capacity(line.len() + 1);
+    frame.extend_from_slice(line.as_bytes());
+    frame.push(b'\n');
+    w.write_all(&frame)?;
+    w.flush()
+}
+
 /// Renders the common response envelope; handler payload fields are already
 /// in `payload` (a rendered JSON object or the empty string).
 pub fn response(id: u64, cmd: &str, status: u8, error: Option<&str>, payload: &str) -> String {
@@ -429,6 +445,63 @@ mod tests {
         let long =
             format!(r#"{{"lis":1,"id":1,"cmd":"status","pad":"{}"}}"#, "x".repeat(MAX_FRAME_LEN));
         assert!(matches!(parse_frame(&long), Err(ProtocolError::FrameTooLong(_))));
+    }
+
+    #[test]
+    fn frame_parsing_is_linear_in_frame_length() {
+        // Just under the cap: ASCII runs, escapes, and 2-, 3- and 4-byte
+        // characters. A parser that rescans the rest of the input per
+        // character needs minutes for this; a linear one, milliseconds.
+        let unit = r#"  add r1, r2, r3 ; \"é€😀\"\n"#;
+        let reps = (MAX_FRAME_LEN - 64) / unit.len();
+        let frame =
+            format!(r#"{{"lis":1,"id":1,"cmd":"run","isa":"arm","src":"{}"}}"#, unit.repeat(reps));
+        assert!(frame.len() < MAX_FRAME_LEN && frame.len() > MAX_FRAME_LEN - 256);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let parser = std::thread::spawn(move || {
+            let _ = tx.send(parse_frame(&frame));
+        });
+        let parsed = rx
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("a frame under the cap parses within 5 s");
+        parser.join().expect("parser thread");
+        let Request::Run { src: Some(src), .. } = parsed.expect("parses").req else {
+            panic!("wrong request");
+        };
+        assert_eq!(src, "  add r1, r2, r3 ; \"é€😀\"\n".repeat(reps));
+    }
+
+    /// A `Write` that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        flushes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.flushes += 1;
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_sends_each_frame_in_one_write() {
+        let mut w = CountingWriter::default();
+        let line = response(1, "status", 0, None, r#"{"x":1}"#);
+        write_frame(&mut w, &line).expect("write");
+        assert_eq!((w.writes, w.flushes), (1, 1), "one write and one flush per frame");
+        assert_eq!(w.bytes, format!("{line}\n").into_bytes());
+        write_frame(&mut w, "{}").expect("write");
+        assert_eq!(w.writes, 2);
+        assert_eq!(w.bytes, format!("{line}\n{{}}\n").into_bytes());
     }
 
     #[test]

@@ -11,11 +11,12 @@
 //! abandon, and exits [`EXIT_ABANDONED`] if that list was nonempty.
 
 use crate::exec::{execute, Ctx, Outcome};
-use crate::protocol::{self, parse_frame, ProtocolError, Request};
+use crate::json::JsonError;
+use crate::protocol::{self, parse_frame, write_frame, ProtocolError, Request};
 use crate::scheduler::{Scheduler, SubmitError};
 use lis_core::JsonObj;
 use lis_runtime::ArtifactStore;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -216,14 +217,14 @@ fn status_payload(state: &ServerState) -> String {
     o.finish()
 }
 
-fn write_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
-    stream.write_all(line.as_bytes())?;
-    stream.write_all(b"\n")?;
-    stream.flush()
-}
-
 /// One connection: read frames, execute, respond — until EOF, a fatal socket
 /// error, an oversized unterminated line, or daemon shutdown.
+///
+/// A session holds at most `MAX_FRAME_LEN + 1` bytes of a frame. A frame
+/// that fills them with no newline is answered with `FrameTooLong` at once,
+/// and the rest of it is read and dropped: up to its newline, after which
+/// the session goes on, or until the client goes quiet or hangs up, which
+/// ends the session.
 fn session_loop(stream: TcpStream, state: &ServerState) {
     let mut out = match stream.try_clone() {
         Ok(s) => s,
@@ -233,33 +234,35 @@ fn session_loop(stream: TcpStream, state: &ServerState) {
         return;
     }
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut frame = Vec::new();
+    let mut dropping = false;
     loop {
         if state.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        match reader.read_line(&mut line) {
+        // Never 0: a full buffer is either a frame (handled) or dropped.
+        let room = (protocol::MAX_FRAME_LEN + 1 - frame.len()) as u64;
+        match reader.by_ref().take(room).read_until(b'\n', &mut frame) {
             Ok(0) => return, // client hung up
-            Ok(_) => {
-                let trimmed = line.trim_end_matches(['\n', '\r']);
-                if !trimmed.trim().is_empty() && !handle_line(trimmed, &mut out, state) {
+            Ok(_) if frame.len() > protocol::MAX_FRAME_LEN && !frame.ends_with(b"\n") => {
+                if !dropping && !reject(&mut out, 0, &ProtocolError::FrameTooLong(frame.len())) {
                     return;
                 }
-                line.clear();
+                dropping = true;
+                frame.clear();
             }
-            // Timeout mid-wait (or mid-line: partial bytes stay in `line`
-            // and the next read continues the same frame).
+            Ok(_) => {
+                if !dropping && !handle_frame(&frame, &mut out, state) {
+                    return;
+                }
+                dropping = false;
+                frame.clear();
+            }
+            // Timeout mid-wait (or mid-frame: partial bytes stay in `frame`
+            // and the next read continues the same frame). A client that
+            // goes quiet inside an oversize frame cannot be resynced.
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if line.len() > protocol::MAX_FRAME_LEN {
-                    // An unterminated oversized frame cannot be resynced.
-                    let resp = protocol::response(
-                        0,
-                        "?",
-                        2,
-                        Some(&ProtocolError::FrameTooLong(line.len()).to_string()),
-                        "",
-                    );
-                    let _ = write_line(&mut out, &resp);
+                if dropping {
                     return;
                 }
             }
@@ -269,28 +272,46 @@ fn session_loop(stream: TcpStream, state: &ServerState) {
     }
 }
 
+/// Answers a frame that was rejected before execution with its typed
+/// `status` 2 error. Returns `false` when the socket died.
+fn reject(out: &mut TcpStream, id: u64, e: &ProtocolError) -> bool {
+    write_frame(out, &protocol::response(id, "?", 2, Some(&e.to_string()), "")).is_ok()
+}
+
+/// Handles one complete frame as read off the wire, newline included.
+/// Bytes that are not UTF-8 are malformed JSON (RFC 8259 §8.1).
+fn handle_frame(frame: &[u8], out: &mut TcpStream, state: &ServerState) -> bool {
+    match std::str::from_utf8(frame) {
+        Ok(text) => {
+            let line = text.trim_end_matches(['\n', '\r']);
+            line.trim().is_empty() || handle_line(line, out, state)
+        }
+        Err(e) => {
+            let e = JsonError { offset: e.valid_up_to(), msg: "invalid UTF-8".to_string() };
+            reject(out, 0, &ProtocolError::Json(e))
+        }
+    }
+}
+
 /// Handles one complete frame line. Returns `false` when the session should
 /// close (shutdown acknowledged or the socket died).
 fn handle_line(line: &str, out: &mut TcpStream, state: &ServerState) -> bool {
     let frame = match parse_frame(line) {
         Ok(f) => f,
-        Err(e) => {
-            let resp = protocol::response(salvage_id(line), "?", 2, Some(&e.to_string()), "");
-            return write_line(out, &resp).is_ok();
-        }
+        Err(e) => return reject(out, salvage_id(line), &e),
     };
     let cmd = frame.req.cmd();
     match frame.req {
         Request::Status => {
             let resp = protocol::response(frame.id, cmd, 0, None, &status_payload(state));
-            write_line(out, &resp).is_ok()
+            write_frame(out, &resp).is_ok()
         }
         Request::Shutdown => {
             state.shutdown.store(true, Ordering::SeqCst);
             let mut o = JsonObj::new();
             o.bool("draining", true);
             let resp = protocol::response(frame.id, cmd, 0, None, &o.finish());
-            let _ = write_line(out, &resp);
+            let _ = write_frame(out, &resp);
             false
         }
         req => {
@@ -322,7 +343,7 @@ fn handle_line(line: &str, out: &mut TcpStream, state: &ServerState) -> bool {
                 outcome.error.as_deref(),
                 &outcome.payload,
             );
-            write_line(out, &resp).is_ok()
+            write_frame(out, &resp).is_ok()
         }
     }
 }

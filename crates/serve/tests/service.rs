@@ -39,9 +39,11 @@ impl Client {
     }
 
     fn send(&mut self, frame: &str) -> Value {
-        self.out.write_all(frame.as_bytes()).expect("write frame");
-        self.out.write_all(b"\n").expect("write newline");
-        self.out.flush().expect("flush");
+        lis_serve::write_frame(&mut self.out, frame).expect("write frame");
+        self.recv()
+    }
+
+    fn recv(&mut self) -> Value {
         let mut line = String::new();
         self.reader.read_line(&mut line).expect("read response");
         assert!(line.ends_with('\n'), "response is a complete line: {line:?}");
@@ -259,6 +261,77 @@ fn trace_replay_request_rejects_a_corrupt_file_without_dying() {
     // Session and daemon both survive.
     let st = c.send(r#"{"lis":1,"id":2,"cmd":"status"}"#);
     assert_eq!(status_of(&st), 0);
+
+    assert_eq!(shutdown_and_join(addr, handle), 0);
+}
+
+/// The length a `FrameTooLong` rejection reports.
+fn reported_frame_len(resp: &Value) -> usize {
+    assert_eq!(status_of(resp), 2, "{resp:?}");
+    let err = resp.get("error").and_then(Value::as_str).expect("error string");
+    let n = err.strip_prefix("protocol: frame of ").and_then(|rest| rest.split(' ').next());
+    n.and_then(|n| n.parse().ok()).unwrap_or_else(|| panic!("not a frame-length error: {err}"))
+}
+
+#[test]
+fn an_unterminated_oversize_frame_is_refused_without_buffering_it() {
+    let (addr, handle) = start_server();
+    let mut c = Client::connect(addr);
+    let mut w = c.out.try_clone().expect("clone");
+    // 8 MiB with no newline, from a thread of its own: the daemon answers
+    // while the stream is still coming. Write errors are fine once the
+    // daemon has given up on the session.
+    let writer = std::thread::spawn(move || {
+        let chunk = vec![b'x'; 64 << 10];
+        for _ in 0..128 {
+            if w.write_all(&chunk).is_err() {
+                return;
+            }
+        }
+    });
+    let resp = c.recv();
+    let held = reported_frame_len(&resp);
+    assert!(held > lis_serve::MAX_FRAME_LEN, "{resp:?}");
+    assert!(
+        held <= lis_serve::MAX_FRAME_LEN + 1,
+        "the daemon held at most one frame cap: {resp:?}"
+    );
+    writer.join().expect("writer thread");
+    // The client went quiet inside the frame: the session ends.
+    let mut rest = String::new();
+    assert!(matches!(c.reader.read_line(&mut rest), Ok(0) | Err(_)), "session closed: {rest:?}");
+
+    assert_eq!(shutdown_and_join(addr, handle), 0);
+}
+
+#[test]
+fn an_oversize_frame_with_a_newline_is_refused_and_the_session_goes_on() {
+    let (addr, handle) = start_server();
+    let mut c = Client::connect(addr);
+    let big = format!(
+        r#"{{"lis":1,"id":1,"cmd":"status","pad":"{}"}}"#,
+        "y".repeat(lis_serve::MAX_FRAME_LEN)
+    );
+    let resp = c.send(&big);
+    assert!(reported_frame_len(&resp) > lis_serve::MAX_FRAME_LEN, "{resp:?}");
+    let st = c.send(r#"{"lis":1,"id":2,"cmd":"status"}"#);
+    assert_eq!(status_of(&st), 0, "{st:?}");
+    assert_eq!(st.get("id").and_then(Value::as_u64), Some(2));
+
+    assert_eq!(shutdown_and_join(addr, handle), 0);
+}
+
+#[test]
+fn a_frame_that_is_not_utf8_is_a_typed_error_and_the_session_survives() {
+    let (addr, handle) = start_server();
+    let mut c = Client::connect(addr);
+    c.out.write_all(b"{\"lis\":1,\"id\":1,\"cmd\":\"sta\xfftus\"}\n").expect("write");
+    let resp = c.recv();
+    assert_eq!(status_of(&resp), 2, "{resp:?}");
+    let err = resp.get("error").and_then(Value::as_str).expect("error string");
+    assert_eq!(err, "protocol: malformed JSON at byte 26: invalid UTF-8");
+    let st = c.send(r#"{"lis":1,"id":2,"cmd":"status"}"#);
+    assert_eq!(status_of(&st), 0, "{st:?}");
 
     assert_eq!(shutdown_and_join(addr, handle), 0);
 }
