@@ -28,37 +28,21 @@ impl CacheConfig {
 /// [`Prefetcher`] (see [`Cache::with_components`]; [`Cache::new`] selects
 /// LRU with no prefetching, the seed behavior). Tracks hits and misses;
 /// timing simulators convert misses into stall cycles.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
     sets: usize,
     line_shift: u32,
     /// `tags[set * ways + way]`; `u64::MAX` = invalid.
     tags: Vec<u64>,
-    policy: Box<dyn ReplacementPolicy>,
-    prefetcher: Box<dyn Prefetcher>,
+    policy: ReplacementPolicy,
+    prefetcher: Prefetcher,
     /// Hit count.
     pub hits: u64,
     /// Miss count.
     pub misses: u64,
     /// Lines installed by the prefetcher (not counted as hits or misses).
     pub prefetches: u64,
-}
-
-impl Clone for Cache {
-    fn clone(&self) -> Cache {
-        Cache {
-            cfg: self.cfg,
-            sets: self.sets,
-            line_shift: self.line_shift,
-            tags: self.tags.clone(),
-            policy: self.policy.clone_box(),
-            prefetcher: self.prefetcher.clone_box(),
-            hits: self.hits,
-            misses: self.misses,
-            prefetches: self.prefetches,
-        }
-    }
 }
 
 impl Cache {

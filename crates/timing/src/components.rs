@@ -3,10 +3,17 @@
 //! The paper's premise is that the timing side is the part you *vary* while
 //! the single functional specification stays fixed. This module provides the
 //! variation points: a [`BranchPredictor`] seam, a [`ReplacementPolicy`] seam
-//! consulted by [`Cache`](crate::Cache), and a [`Prefetcher`] hook — each a
-//! tiny object-safe trait with two or three shipped implementations, selected
-//! by a [`TimingConfig`] that flows from the CLI and the serve protocol into
-//! every core model.
+//! consulted by [`Cache`](crate::Cache), and a [`Prefetcher`] hook — each an
+//! enum over the two or three implementations that ship, selected by a
+//! [`TimingConfig`] that flows from the CLI and the serve protocol into every
+//! core model.
+//!
+//! The seams are enums, not trait objects, because they sit on the hottest
+//! path of every timing consumer: each cache access and branch update is a
+//! `match` the compiler inlines, not a virtual call — the way ChampSim wires
+//! its modules in at build time. Adding a component is one struct with the
+//! seam's methods, one variant, and one arm per seam method and in the
+//! kind's `build`.
 //!
 //! All implementations are deterministic (the "random" replacement policy is
 //! a fixed-seed xorshift), so sweeps and trace replays remain byte-identical
@@ -20,52 +27,65 @@ use crate::predict::Predictor;
 
 /// The branch-prediction seam: direction plus (when taken) target.
 ///
-/// Implementations keep their own correct/mispredict counters so a core can
-/// report rates over a measured region by snapshotting both.
-pub trait BranchPredictor: std::fmt::Debug + Send {
+/// Every implementation keeps its own correct/mispredict counters so a core
+/// can report rates over a measured region by snapshotting both.
+#[derive(Debug, Clone)]
+pub enum BranchPredictor {
+    /// Two-bit bimodal counters with a direct-mapped BTB.
+    Bimodal(Predictor),
+    /// Global-history gshare with the same BTB.
+    Gshare(Gshare),
+    /// Static always-not-taken.
+    NotTaken(NotTaken),
+}
+
+impl BranchPredictor {
     /// Predicts the branch at `pc`: `(taken, predicted_target)`.
-    fn predict(&self, pc: u64) -> (bool, Option<u64>);
+    pub fn predict(&self, pc: u64) -> (bool, Option<u64>) {
+        match self {
+            BranchPredictor::Bimodal(p) => p.predict(pc),
+            BranchPredictor::Gshare(p) => p.predict(pc),
+            BranchPredictor::NotTaken(p) => p.predict(pc),
+        }
+    }
+
     /// Updates with the architectural outcome; returns whether the earlier
     /// prediction was fully correct (direction and, when taken, target).
-    fn update(&mut self, pc: u64, taken: bool, target: u64) -> bool;
+    #[inline]
+    pub fn update(&mut self, pc: u64, taken: bool, target: u64) -> bool {
+        match self {
+            BranchPredictor::Bimodal(p) => p.update(pc, taken, target),
+            BranchPredictor::Gshare(p) => p.update(pc, taken, target),
+            BranchPredictor::NotTaken(p) => p.update(pc, taken, target),
+        }
+    }
+
     /// Correct predictions so far.
-    fn correct(&self) -> u64;
+    pub fn correct(&self) -> u64 {
+        match self {
+            BranchPredictor::Bimodal(p) => p.correct,
+            BranchPredictor::Gshare(p) => p.correct,
+            BranchPredictor::NotTaken(p) => p.correct,
+        }
+    }
+
     /// Mispredictions so far.
-    fn mispredicts(&self) -> u64;
+    pub fn mispredicts(&self) -> u64 {
+        match self {
+            BranchPredictor::Bimodal(p) => p.mispredicts,
+            BranchPredictor::Gshare(p) => p.mispredicts,
+            BranchPredictor::NotTaken(p) => p.mispredicts,
+        }
+    }
+
     /// Misprediction rate over everything seen so far.
-    fn mispredict_rate(&self) -> f64 {
+    pub fn mispredict_rate(&self) -> f64 {
         let total = self.correct() + self.mispredicts();
         if total == 0 {
             0.0
         } else {
             self.mispredicts() as f64 / total as f64
         }
-    }
-    /// Clones the predictor behind the trait object.
-    fn clone_box(&self) -> Box<dyn BranchPredictor>;
-}
-
-impl Clone for Box<dyn BranchPredictor> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
-}
-
-impl BranchPredictor for Predictor {
-    fn predict(&self, pc: u64) -> (bool, Option<u64>) {
-        Predictor::predict(self, pc)
-    }
-    fn update(&mut self, pc: u64, taken: bool, target: u64) -> bool {
-        Predictor::update(self, pc, taken, target)
-    }
-    fn correct(&self) -> u64 {
-        self.correct
-    }
-    fn mispredicts(&self) -> u64 {
-        self.mispredicts
-    }
-    fn clone_box(&self) -> Box<dyn BranchPredictor> {
-        Box::new(self.clone())
     }
 }
 
@@ -80,8 +100,10 @@ pub struct Gshare {
     btb_targets: Vec<u64>,
     mask: usize,
     history: u64,
-    correct: u64,
-    mispredicts: u64,
+    /// Correct predictions.
+    pub correct: u64,
+    /// Mispredictions (direction or target).
+    pub mispredicts: u64,
 }
 
 impl Gshare {
@@ -112,17 +134,18 @@ impl Gshare {
     fn btb_index(&self, pc: u64) -> usize {
         ((pc >> 2) as usize) & self.mask
     }
-}
 
-impl BranchPredictor for Gshare {
-    fn predict(&self, pc: u64) -> (bool, Option<u64>) {
+    /// Predicts the branch at `pc`: `(taken, predicted_target)`.
+    pub fn predict(&self, pc: u64) -> (bool, Option<u64>) {
         let taken = self.counters[self.dir_index(pc)] >= 2;
         let b = self.btb_index(pc);
         let target = (self.btb_tags[b] == pc).then(|| self.btb_targets[b]);
         (taken, target)
     }
 
-    fn update(&mut self, pc: u64, taken: bool, target: u64) -> bool {
+    /// Updates with the architectural outcome; returns whether the earlier
+    /// prediction was fully correct.
+    pub fn update(&mut self, pc: u64, taken: bool, target: u64) -> bool {
         let (pred_taken, pred_target) = self.predict(pc);
         let ok = pred_taken == taken && (!taken || pred_target == Some(target));
         if ok {
@@ -143,24 +166,16 @@ impl BranchPredictor for Gshare {
         self.history = (self.history << 1) | u64::from(taken);
         ok
     }
-
-    fn correct(&self) -> u64 {
-        self.correct
-    }
-    fn mispredicts(&self) -> u64 {
-        self.mispredicts
-    }
-    fn clone_box(&self) -> Box<dyn BranchPredictor> {
-        Box::new(self.clone())
-    }
 }
 
 /// The degenerate static predictor: every branch is predicted not-taken.
 /// The pessimistic floor a real predictor must beat.
 #[derive(Debug, Clone, Default)]
 pub struct NotTaken {
-    correct: u64,
-    mispredicts: u64,
+    /// Correct predictions (not-taken outcomes).
+    pub correct: u64,
+    /// Mispredictions (taken outcomes).
+    pub mispredicts: u64,
 }
 
 impl NotTaken {
@@ -168,30 +183,20 @@ impl NotTaken {
     pub fn new() -> NotTaken {
         NotTaken::default()
     }
-}
 
-impl BranchPredictor for NotTaken {
-    fn predict(&self, _pc: u64) -> (bool, Option<u64>) {
+    /// Predicts not-taken, with no target.
+    pub fn predict(&self, _pc: u64) -> (bool, Option<u64>) {
         (false, None)
     }
 
-    fn update(&mut self, _pc: u64, taken: bool, _target: u64) -> bool {
+    /// Counts the outcome; returns whether it was not-taken.
+    pub fn update(&mut self, _pc: u64, taken: bool, _target: u64) -> bool {
         if taken {
             self.mispredicts += 1;
         } else {
             self.correct += 1;
         }
         !taken
-    }
-
-    fn correct(&self) -> u64 {
-        self.correct
-    }
-    fn mispredicts(&self) -> u64 {
-        self.mispredicts
-    }
-    fn clone_box(&self) -> Box<dyn BranchPredictor> {
-        Box::new(self.clone())
     }
 }
 
@@ -202,20 +207,44 @@ impl BranchPredictor for NotTaken {
 /// The replacement seam: the cache owns tags and fills invalid ways itself;
 /// the policy is told about hits and fills and is consulted for a victim
 /// only when a set is full.
-pub trait ReplacementPolicy: std::fmt::Debug + Send {
-    /// A demand access hit `way` of `set`.
-    fn on_hit(&mut self, set: usize, way: usize);
-    /// A line was installed into `way` of `set` (demand fill or prefetch).
-    fn on_fill(&mut self, set: usize, way: usize);
-    /// Chooses the way to evict from a full `set`.
-    fn victim(&mut self, set: usize) -> usize;
-    /// Clones the policy behind the trait object.
-    fn clone_box(&self) -> Box<dyn ReplacementPolicy>;
+#[derive(Debug, Clone)]
+pub enum ReplacementPolicy {
+    /// True LRU.
+    Lru(LruPolicy),
+    /// First-in first-out.
+    Fifo(FifoPolicy),
+    /// Seeded pseudo-random.
+    Random(RandomPolicy),
 }
 
-impl Clone for Box<dyn ReplacementPolicy> {
-    fn clone(&self) -> Self {
-        self.clone_box()
+impl ReplacementPolicy {
+    /// A demand access hit `way` of `set`.
+    #[inline]
+    pub fn on_hit(&mut self, set: usize, way: usize) {
+        match self {
+            ReplacementPolicy::Lru(p) => p.on_hit(set, way),
+            ReplacementPolicy::Fifo(p) => p.on_hit(set, way),
+            ReplacementPolicy::Random(p) => p.on_hit(set, way),
+        }
+    }
+
+    /// A line was installed into `way` of `set` (demand fill or prefetch).
+    #[inline]
+    pub fn on_fill(&mut self, set: usize, way: usize) {
+        match self {
+            ReplacementPolicy::Lru(p) => p.on_fill(set, way),
+            ReplacementPolicy::Fifo(p) => p.on_fill(set, way),
+            ReplacementPolicy::Random(p) => p.on_fill(set, way),
+        }
+    }
+
+    /// Chooses the way to evict from a full `set`.
+    pub fn victim(&mut self, set: usize) -> usize {
+        match self {
+            ReplacementPolicy::Lru(p) => p.victim(set),
+            ReplacementPolicy::Fifo(p) => p.victim(set),
+            ReplacementPolicy::Random(p) => p.victim(set),
+        }
     }
 }
 
@@ -239,21 +268,21 @@ impl LruPolicy {
         self.tick += 1;
         self.stamps[set * self.ways + way] = self.tick;
     }
-}
 
-impl ReplacementPolicy for LruPolicy {
-    fn on_hit(&mut self, set: usize, way: usize) {
+    /// A hit refreshes the way's recency.
+    pub fn on_hit(&mut self, set: usize, way: usize) {
         self.touch(set, way);
     }
-    fn on_fill(&mut self, set: usize, way: usize) {
+
+    /// A fill refreshes the way's recency.
+    pub fn on_fill(&mut self, set: usize, way: usize) {
         self.touch(set, way);
     }
-    fn victim(&mut self, set: usize) -> usize {
+
+    /// The least recently used way of `set`.
+    pub fn victim(&mut self, set: usize) -> usize {
         let base = set * self.ways;
         (0..self.ways).min_by_key(|&w| self.stamps[base + w]).expect("ways > 0")
-    }
-    fn clone_box(&self) -> Box<dyn ReplacementPolicy> {
-        Box::new(self.clone())
     }
 }
 
@@ -271,20 +300,20 @@ impl FifoPolicy {
     pub fn new(sets: usize, ways: usize) -> FifoPolicy {
         FifoPolicy { stamps: vec![0; sets * ways], ways, tick: 0 }
     }
-}
 
-impl ReplacementPolicy for FifoPolicy {
-    fn on_hit(&mut self, _set: usize, _way: usize) {}
-    fn on_fill(&mut self, set: usize, way: usize) {
+    /// Hits do not change the eviction order.
+    pub fn on_hit(&mut self, _set: usize, _way: usize) {}
+
+    /// A fill stamps the way as the newest resident.
+    pub fn on_fill(&mut self, set: usize, way: usize) {
         self.tick += 1;
         self.stamps[set * self.ways + way] = self.tick;
     }
-    fn victim(&mut self, set: usize) -> usize {
+
+    /// The longest-resident way of `set`.
+    pub fn victim(&mut self, set: usize) -> usize {
         let base = set * self.ways;
         (0..self.ways).min_by_key(|&w| self.stamps[base + w]).expect("ways > 0")
-    }
-    fn clone_box(&self) -> Box<dyn ReplacementPolicy> {
-        Box::new(self.clone())
     }
 }
 
@@ -312,16 +341,16 @@ impl RandomPolicy {
         self.state = x;
         x
     }
-}
 
-impl ReplacementPolicy for RandomPolicy {
-    fn on_hit(&mut self, _set: usize, _way: usize) {}
-    fn on_fill(&mut self, _set: usize, _way: usize) {}
-    fn victim(&mut self, _set: usize) -> usize {
+    /// Hits do not change the eviction order.
+    pub fn on_hit(&mut self, _set: usize, _way: usize) {}
+
+    /// Fills do not change the eviction order.
+    pub fn on_fill(&mut self, _set: usize, _way: usize) {}
+
+    /// The next pseudo-random way.
+    pub fn victim(&mut self, _set: usize) -> usize {
         (self.next() % self.ways as u64) as usize
-    }
-    fn clone_box(&self) -> Box<dyn ReplacementPolicy> {
-        Box::new(self.clone())
     }
 }
 
@@ -333,43 +362,26 @@ impl ReplacementPolicy for RandomPolicy {
 /// and may name one line to install. Prefetch fills go through the
 /// replacement policy but never touch the hit/miss counters — only the
 /// [`Cache::prefetches`](crate::Cache::prefetches) count.
-pub trait Prefetcher: std::fmt::Debug + Send {
+#[derive(Debug, Clone)]
+pub enum Prefetcher {
+    /// No prefetching — the classic configuration.
+    None,
+    /// Next-line prefetching: every demand miss pulls in the sequentially
+    /// next line. Wins on streaming code and instruction fetch.
+    NextLine,
+    /// Global-stride prefetching.
+    Stride(StridePrefetcher),
+}
+
+impl Prefetcher {
     /// Observes a demand access to `line`; returns a line to prefetch.
-    fn observe(&mut self, line: u64, hit: bool) -> Option<u64>;
-    /// Clones the prefetcher behind the trait object.
-    fn clone_box(&self) -> Box<dyn Prefetcher>;
-}
-
-impl Clone for Box<dyn Prefetcher> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
-}
-
-/// No prefetching — the classic configuration.
-#[derive(Debug, Clone, Default)]
-pub struct NonePrefetcher;
-
-impl Prefetcher for NonePrefetcher {
-    fn observe(&mut self, _line: u64, _hit: bool) -> Option<u64> {
-        None
-    }
-    fn clone_box(&self) -> Box<dyn Prefetcher> {
-        Box::new(self.clone())
-    }
-}
-
-/// Next-line prefetching: every demand miss pulls in the sequentially next
-/// line. Wins on streaming code and instruction fetch.
-#[derive(Debug, Clone, Default)]
-pub struct NextLinePrefetcher;
-
-impl Prefetcher for NextLinePrefetcher {
-    fn observe(&mut self, line: u64, hit: bool) -> Option<u64> {
-        (!hit).then(|| line.wrapping_add(1))
-    }
-    fn clone_box(&self) -> Box<dyn Prefetcher> {
-        Box::new(self.clone())
+    #[inline]
+    pub fn observe(&mut self, line: u64, hit: bool) -> Option<u64> {
+        match self {
+            Prefetcher::None => None,
+            Prefetcher::NextLine => (!hit).then(|| line.wrapping_add(1)),
+            Prefetcher::Stride(s) => s.observe(line, hit),
+        }
     }
 }
 
@@ -383,17 +395,15 @@ pub struct StridePrefetcher {
     primed: bool,
 }
 
-impl Prefetcher for StridePrefetcher {
-    fn observe(&mut self, line: u64, _hit: bool) -> Option<u64> {
+impl StridePrefetcher {
+    /// Observes a demand access to `line`; returns a line to prefetch.
+    pub fn observe(&mut self, line: u64, _hit: bool) -> Option<u64> {
         let delta = line.wrapping_sub(self.last_line);
         let matched = self.primed && delta != 0 && delta == self.last_delta;
         self.last_delta = delta;
         self.last_line = line;
         self.primed = true;
         matched.then(|| line.wrapping_add(delta))
-    }
-    fn clone_box(&self) -> Box<dyn Prefetcher> {
-        Box::new(self.clone())
     }
 }
 
@@ -414,11 +424,11 @@ pub enum PredictorKind {
 
 impl PredictorKind {
     /// Builds the selected predictor with `entries` table slots.
-    pub fn build(self, entries: usize) -> Box<dyn BranchPredictor> {
+    pub fn build(self, entries: usize) -> BranchPredictor {
         match self {
-            PredictorKind::Bimodal => Box::new(Predictor::new(entries)),
-            PredictorKind::Gshare => Box::new(Gshare::new(entries)),
-            PredictorKind::NotTaken => Box::new(NotTaken::new()),
+            PredictorKind::Bimodal => BranchPredictor::Bimodal(Predictor::new(entries)),
+            PredictorKind::Gshare => BranchPredictor::Gshare(Gshare::new(entries)),
+            PredictorKind::NotTaken => BranchPredictor::NotTaken(NotTaken::new()),
         }
     }
 
@@ -445,11 +455,11 @@ pub enum ReplacementKind {
 
 impl ReplacementKind {
     /// Builds the selected policy for a `sets` × `ways` cache.
-    pub fn build(self, sets: usize, ways: usize) -> Box<dyn ReplacementPolicy> {
+    pub fn build(self, sets: usize, ways: usize) -> ReplacementPolicy {
         match self {
-            ReplacementKind::Lru => Box::new(LruPolicy::new(sets, ways)),
-            ReplacementKind::Fifo => Box::new(FifoPolicy::new(sets, ways)),
-            ReplacementKind::Random => Box::new(RandomPolicy::new(ways)),
+            ReplacementKind::Lru => ReplacementPolicy::Lru(LruPolicy::new(sets, ways)),
+            ReplacementKind::Fifo => ReplacementPolicy::Fifo(FifoPolicy::new(sets, ways)),
+            ReplacementKind::Random => ReplacementPolicy::Random(RandomPolicy::new(ways)),
         }
     }
 
@@ -476,11 +486,11 @@ pub enum PrefetchKind {
 
 impl PrefetchKind {
     /// Builds the selected prefetcher.
-    pub fn build(self) -> Box<dyn Prefetcher> {
+    pub fn build(self) -> Prefetcher {
         match self {
-            PrefetchKind::None => Box::new(NonePrefetcher),
-            PrefetchKind::NextLine => Box::new(NextLinePrefetcher),
-            PrefetchKind::Stride => Box::new(StridePrefetcher::default()),
+            PrefetchKind::None => Prefetcher::None,
+            PrefetchKind::NextLine => Prefetcher::NextLine,
+            PrefetchKind::Stride => Prefetcher::Stride(StridePrefetcher::default()),
         }
     }
 
@@ -593,26 +603,26 @@ mod tests {
     fn gshare_separates_correlated_branches() {
         // Two branches whose low PC bits alias but whose outcomes depend on
         // history: gshare learns both; bimodal thrashes one counter.
-        let mut g = Gshare::new(16);
-        let mut b = Predictor::new(16);
+        let mut g = PredictorKind::Gshare.build(16);
+        let mut b = PredictorKind::Bimodal.build(16);
         // Alternating taken/not-taken at one pc: bimodal oscillates around
         // the weakly-not-taken boundary, gshare keys off the history bit.
         for i in 0..64u64 {
             let taken = i % 2 == 0;
             g.update(0x1000, taken, 0x2000);
-            BranchPredictor::update(&mut b, 0x1000, taken, 0x2000);
+            b.update(0x1000, taken, 0x2000);
         }
         assert!(
-            g.mispredicts() < b.mispredicts,
+            g.mispredicts() < b.mispredicts(),
             "gshare {} vs bimodal {}",
             g.mispredicts(),
-            b.mispredicts
+            b.mispredicts()
         );
     }
 
     #[test]
     fn not_taken_counts_outcomes() {
-        let mut p = NotTaken::new();
+        let mut p = PredictorKind::NotTaken.build(16);
         assert!(p.update(0x10, false, 0));
         assert!(!p.update(0x10, true, 0x20));
         assert_eq!((p.correct(), p.mispredicts()), (1, 1));
@@ -656,7 +666,7 @@ mod tests {
 
     #[test]
     fn next_line_only_fires_on_miss() {
-        let mut n = NextLinePrefetcher;
+        let mut n = PrefetchKind::NextLine.build();
         assert_eq!(n.observe(7, false), Some(8));
         assert_eq!(n.observe(7, true), None);
     }

@@ -26,11 +26,11 @@
 //!
 //! The microarchitectural components themselves sit behind ChampSim-style
 //! seams (see [`components`]): branch prediction, cache replacement, and
-//! prefetching are each an object-safe trait with several shipped
-//! implementations, selected by a named [`TimingConfig`] preset. The
-//! functional specification never changes across presets — only the timing
-//! side varies, which is the paper's single-specification principle at
-//! work.
+//! prefetching are each an enum over several shipped implementations, so
+//! every access is an inlined `match` rather than a virtual call, selected
+//! by a named [`TimingConfig`] preset. The functional specification never
+//! changes across presets — only the timing side varies, which is the
+//! paper's single-specification principle at work.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -42,12 +42,12 @@ mod ooo;
 mod orgs;
 mod predict;
 mod report;
+mod scoreboard;
 
 pub use cache::{Cache, CacheConfig};
 pub use components::{
-    BranchPredictor, FifoPolicy, Gshare, LruPolicy, NextLinePrefetcher, NonePrefetcher, NotTaken,
-    PredictorKind, PrefetchKind, Prefetcher, RandomPolicy, ReplacementKind, ReplacementPolicy,
-    StridePrefetcher, TimingConfig,
+    BranchPredictor, FifoPolicy, Gshare, LruPolicy, NotTaken, PredictorKind, PrefetchKind,
+    Prefetcher, RandomPolicy, ReplacementKind, ReplacementPolicy, StridePrefetcher, TimingConfig,
 };
 pub use model::CoreModel;
 pub use ooo::{run_functional_first_ooo, OooConfig, OooCore};

@@ -9,7 +9,17 @@
 use crate::cache::Cache;
 use crate::components::BranchPredictor;
 use crate::report::{CoreConfig, TimingReport};
-use lis_core::{DynInst, InstClass, IsaSpec, F_BR_TAKEN, F_BR_TARGET, F_EFF_ADDR, F_OPCODE};
+use lis_core::{
+    DynInst, InstClass, InstDef, IsaSpec, F_BR_TAKEN, F_BR_TARGET, F_EFF_ADDR, F_OPCODE,
+};
+
+/// The definition of a record's opcode. `None` when the record publishes no
+/// opcode or one outside `isa`'s table: both read as unpublished, so a
+/// hostile record degrades instead of indexing out of bounds or being
+/// truncated onto another opcode.
+pub(crate) fn inst_def<'a>(isa: &'a IsaSpec, di: &DynInst) -> Option<&'a InstDef> {
+    isa.insts.get(usize::try_from(di.field(F_OPCODE)?).ok()?)
+}
 
 /// Cycle accounting for an in-order core.
 #[derive(Debug)]
@@ -19,7 +29,7 @@ pub struct CoreModel {
     /// Data cache.
     pub dcache: Cache,
     /// Branch predictor.
-    pub pred: Box<dyn BranchPredictor>,
+    pub pred: BranchPredictor,
     /// Accumulated cycles.
     pub cycles: u64,
     mispredict_penalty: u64,
@@ -43,11 +53,12 @@ impl CoreModel {
     ///
     /// Uses only information available at the `Decode` level: the opcode
     /// index (for the class), the effective address, and branch resolution.
+    /// An opcode outside `isa`'s table counts as unpublished, like a record
+    /// without one: the instruction costs its fetch and nothing else.
     pub fn retire(&mut self, isa: &IsaSpec, di: &DynInst) {
         self.cycles += 1 + self.icache.access(di.header.phys_pc);
-        let Some(op) = di.field(F_OPCODE) else { return };
-        let class = isa.inst(op as u16).class;
-        match class {
+        let Some(def) = inst_def(isa, di) else { return };
+        match def.class {
             InstClass::Load | InstClass::Store => {
                 if let Some(ea) = di.field(F_EFF_ADDR) {
                     self.cycles += self.dcache.access(ea);

@@ -22,10 +22,13 @@
 use crate::cache::Cache;
 use crate::components::BranchPredictor;
 use crate::report::{CoreConfig, TimingReport};
-use lis_core::{DynInst, InstClass, IsaSpec, F_BR_TAKEN, F_BR_TARGET, F_EFF_ADDR, F_OPCODE};
+use crate::scoreboard::Scoreboard;
+use lis_core::{
+    DynInst, InstClass, InstDef, IsaSpec, F_BR_TAKEN, F_BR_TARGET, F_EFF_ADDR, F_OPCODE,
+};
 use lis_mem::Image;
 use lis_runtime::{SimStop, Simulator};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Structural parameters of the out-of-order core.
 #[derive(Debug, Clone, Copy)]
@@ -43,8 +46,7 @@ impl Default for OooConfig {
 }
 
 /// Execution latency of one instruction, by class and mnemonic.
-fn latency(isa: &IsaSpec, op: u16) -> u64 {
-    let def = isa.inst(op);
+fn latency(def: &InstDef) -> u64 {
     match def.class {
         InstClass::Load | InstClass::Store => 2,
         InstClass::Alu if def.name.contains("div") => 12,
@@ -79,14 +81,15 @@ struct Baseline {
 /// identical reports.
 #[derive(Debug)]
 pub struct OooCore {
-    isa: &'static IsaSpec,
+    /// `(latency, class)` per opcode of the ISA, built once.
+    op_table: Box<[(u64, InstClass)]>,
     ooo: OooConfig,
     mispredict_penalty: u64,
     icache: Cache,
     dcache: Cache,
-    pred: Box<dyn BranchPredictor>,
+    pred: BranchPredictor,
     /// Cycle at which each architectural register's value becomes available.
-    reg_ready: HashMap<(u8, u16), u64>,
+    reg_ready: Scoreboard,
     /// Completion cycles of the last `rob` instructions, oldest first.
     window: VecDeque<u64>,
     fetch_cycle: u64,
@@ -114,13 +117,13 @@ impl OooCore {
     pub fn new(isa: &'static IsaSpec, cfg: &CoreConfig, ooo: &OooConfig) -> OooCore {
         let t = cfg.timing;
         OooCore {
-            isa,
+            op_table: isa.insts.iter().map(|def| (latency(def), def.class)).collect(),
             ooo: OooConfig { width: ooo.width.max(1), rob: ooo.rob.max(1) },
             mispredict_penalty: cfg.mispredict_penalty,
             icache: Cache::with_components(cfg.icache, t.replacement, t.prefetcher),
             dcache: Cache::with_components(cfg.dcache, t.replacement, t.prefetcher),
             pred: t.predictor.build(cfg.predictor_entries),
-            reg_ready: HashMap::new(),
+            reg_ready: Scoreboard::new(isa),
             window: VecDeque::new(),
             fetch_cycle: 0,
             last_commit: 0,
@@ -200,23 +203,26 @@ impl OooCore {
         // Issue when sources are ready.
         let mut ready = self.fetch_cycle + 1;
         if let Some(ops) = di.operands() {
-            for s in ops.srcs() {
-                if let Some(&t) = self.reg_ready.get(&(s.class, s.index)) {
-                    ready = ready.max(t);
-                }
+            for &s in ops.srcs() {
+                ready = ready.max(self.reg_ready.get(s));
             }
         }
-        let Some(op) = di.field(F_OPCODE) else { return Ok(()) };
-        let mut done = ready + latency(self.isa, op as u16);
-        let class = self.isa.inst(op as u16).class;
+        // A record without an opcode, or with one outside the ISA's table,
+        // has no latency or class: it costs fetch bandwidth only.
+        let Some(&(latency, class)) =
+            di.field(F_OPCODE).and_then(|op| self.op_table.get(usize::try_from(op).ok()?))
+        else {
+            return Ok(());
+        };
+        let mut done = ready + latency;
         if matches!(class, InstClass::Load | InstClass::Store) {
             if let Some(ea) = di.field(F_EFF_ADDR) {
                 done += self.dcache.access(ea);
             }
         }
         if let Some(ops) = di.operands() {
-            for d in ops.dests() {
-                self.reg_ready.insert((d.class, d.index), done);
+            for &d in ops.dests() {
+                self.reg_ready.set(d, done);
             }
         }
         // Branches redirect fetch when mispredicted, at resolution time.
@@ -335,6 +341,82 @@ mod tests {
         di.header.next_pc = pc + 4;
         di.publish(&frame, FieldSet::of(&[F_OPCODE]), &ops, true);
         di
+    }
+
+    /// A taken branch at `pc` with a destination register, publishing
+    /// `op` as its opcode (or no opcode at all).
+    fn taken_branch(op: Option<u64>, pc: u64) -> DynInst {
+        let mut frame = Frame::new();
+        frame.set(F_BR_TAKEN, 1);
+        frame.set(F_BR_TARGET, pc + 0x40);
+        let mut fields = vec![F_BR_TAKEN, F_BR_TARGET];
+        if let Some(op) = op {
+            frame.set(F_OPCODE, op);
+            fields.push(F_OPCODE);
+        }
+        let mut ops = Operands::new();
+        ops.push_dest(RegClass(0), 3);
+        let mut di = DynInst::new();
+        di.header.pc = pc;
+        di.header.phys_pc = pc;
+        di.header.next_pc = pc + 4;
+        di.publish(&frame, FieldSet::of(&fields), &ops, true);
+        di
+    }
+
+    /// A conditional branch of `isa`, and opcodes outside its table. A cast
+    /// `as u16` truncates 65 539 and 65 536 + the branch onto in-range ones.
+    fn branch_and_hostile_opcodes(isa: &IsaSpec) -> (u64, [u64; 4]) {
+        let branch = (0..isa.num_insts() as u16)
+            .find(|&op| isa.inst(op).class == InstClass::Branch)
+            .map(u64::from)
+            .expect("the ISA has a conditional branch");
+        (branch, [9_999, 65_539, 65_536 + branch, u64::MAX])
+    }
+
+    #[test]
+    fn out_of_range_opcode_reads_as_unpublished() {
+        // Regression: `feed` indexed the ISA's instruction table with the
+        // opcode cast `as u16`, so a well-formed trace carrying opcode 9999
+        // panicked every replay. An opcode outside the table must cost
+        // exactly what a record without an opcode costs.
+        let isa = lis_isa_alpha::spec();
+        let cfg = CoreConfig::default();
+        let run = |op: Option<u64>| {
+            let mut core = OooCore::new(isa, &cfg, &OooConfig::default());
+            for i in 0..16 {
+                core.feed(&taken_branch(op, 0x1000 + i * 4)).unwrap();
+            }
+            core.report("t").to_json()
+        };
+        let (branch, hostile) = branch_and_hostile_opcodes(isa);
+        let bare = run(None);
+        assert_ne!(run(Some(branch)), bare, "an in-range branch is timed");
+        for op in hostile {
+            assert_eq!(run(Some(op)), bare, "opcode {op}");
+        }
+    }
+
+    #[test]
+    fn core_model_reads_out_of_range_opcode_as_unpublished() {
+        // The same rule for the in-order model: `retire` indexed the table
+        // with the opcode cast `as u16` too.
+        let isa = lis_isa_alpha::spec();
+        let run = |op: Option<u64>| {
+            let mut model = crate::model::CoreModel::new(&CoreConfig::default());
+            for i in 0..16 {
+                model.retire(isa, &taken_branch(op, 0x1000 + i * 4));
+            }
+            let mut report = TimingReport::default();
+            model.fill(&mut report);
+            report.to_json()
+        };
+        let (branch, hostile) = branch_and_hostile_opcodes(isa);
+        let bare = run(None);
+        assert_ne!(run(Some(branch)), bare, "an in-range branch is timed");
+        for op in hostile {
+            assert_eq!(run(Some(op)), bare, "opcode {op}");
+        }
     }
 
     #[test]

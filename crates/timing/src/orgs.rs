@@ -12,15 +12,15 @@
 //! | timing-first | `one-min` (checker) | checker needs no per-inst info |
 //! | speculative functional-first | `block-decode-spec` | trace + rollback |
 
-use crate::model::CoreModel;
+use crate::model::{inst_def, CoreModel};
 use crate::report::{CoreConfig, TimingReport};
+use crate::scoreboard::Scoreboard;
 use lis_core::{
-    DynInst, InstClass, IsaSpec, OperandRef, Step, BLOCK_DECODE, BLOCK_DECODE_SPEC, F_OPCODE,
-    ONE_ALL, ONE_MIN,
+    DynInst, InstClass, IsaSpec, OperandRef, Step, BLOCK_DECODE, BLOCK_DECODE_SPEC, ONE_ALL,
+    ONE_MIN,
 };
 use lis_mem::Image;
 use lis_runtime::{SimStop, Simulator};
-use std::collections::HashMap;
 
 /// Ceiling on simulated instructions for every driver in this module.
 const DEFAULT_BUDGET: u64 = 200_000_000;
@@ -37,18 +37,17 @@ const BYPASS_WINDOW: usize = 4;
 /// crate's degrade-don't-abort rule, cf. the rob=0 regression test).
 fn scan_sources(
     srcs: &[OperandRef],
-    ready: &HashMap<(u8, u16), u64>,
+    ready: &Scoreboard,
     decode_done: u64,
 ) -> (u64, [bool; BYPASS_WINDOW]) {
     let mut issue = decode_done + 1;
     let mut late_srcs = [false; BYPASS_WINDOW];
-    for (i, s) in srcs.iter().enumerate() {
-        if let Some(&t) = ready.get(&(s.class, s.index)) {
-            issue = issue.max(t);
-            if t > decode_done + 1 {
-                if let Some(slot) = late_srcs.get_mut(i) {
-                    *slot = true;
-                }
+    for (i, &s) in srcs.iter().enumerate() {
+        let t = ready.get(s);
+        issue = issue.max(t);
+        if t > decode_done + 1 {
+            if let Some(slot) = late_srcs.get_mut(i) {
+                *slot = true;
             }
         }
     }
@@ -163,8 +162,8 @@ pub fn run_timing_directed(
     let mut sim = Simulator::new(isa, lis_core::STEP_ALL).expect("step-all is always valid");
     sim.load_program(image).map_err(SimStop::Fault)?;
     let mut model = CoreModel::new(cfg);
-    // Scoreboard: cycle at which each (class, reg) becomes available.
-    let mut ready = std::collections::HashMap::<(u8, u16), u64>::new();
+    // Scoreboard: cycle at which each register becomes available.
+    let mut ready = Scoreboard::new(isa);
     let mut di = DynInst::new();
     while !sim.state.halted {
         if sim.stats.insts >= DEFAULT_BUDGET {
@@ -211,18 +210,18 @@ pub fn run_timing_directed(
         sim.step_inst(Step::Writeback, &mut di)?;
         let wb_done = mem_done + 1;
         if let Some(ops) = di.operands() {
-            for d in ops.dests() {
-                ready.insert((d.class, d.index), wb_done);
+            for &d in ops.dests() {
+                ready.set(d, wb_done);
             }
         }
         sim.step_inst(Step::Exception, &mut di)?;
         if let Some(f) = di.fault {
             return Err(SimStop::Fault(f));
         }
-        // Branch resolution at execute.
-        if let Some(op) = di.field(F_OPCODE) {
-            let class = isa.inst(op as u16).class;
-            if matches!(class, InstClass::Branch | InstClass::Jump) {
+        // Branch resolution at execute. An opcode outside the ISA's table
+        // reads as unpublished, like a record without one.
+        if let Some(def) = inst_def(isa, &di) {
+            if matches!(def.class, InstClass::Branch | InstClass::Jump) {
                 let taken = di.field(lis_core::F_BR_TAKEN).unwrap_or(0) != 0;
                 let target = di.field(lis_core::F_BR_TARGET).unwrap_or(di.header.next_pc);
                 if !model.pred.update(di.header.pc, taken, target) {
@@ -396,9 +395,9 @@ mod tests {
         // bypass window panicked instead of degrading. A hostile/projected
         // record may declare any number of sources; every one must stall
         // issue, and only in-window positions get bypass re-fetches.
-        let mut ready = HashMap::new();
+        let mut ready = Scoreboard::new(lis_runtime::toy::spec());
         for r in 0..6u16 {
-            ready.insert((0u8, r), 100 + u64::from(r));
+            ready.set(OperandRef { class: 0, index: r }, 100 + u64::from(r));
         }
         let srcs: Vec<OperandRef> = (0..6).map(|r| OperandRef { class: 0, index: r }).collect();
         let (issue, late) = scan_sources(&srcs, &ready, 1);
@@ -408,9 +407,9 @@ mod tests {
 
     #[test]
     fn ready_sources_need_no_bypass() {
-        let mut ready = HashMap::new();
-        ready.insert((0u8, 1u16), 3); // ready by decode_done + 1
-        ready.insert((0u8, 2u16), 9); // still in flight
+        let mut ready = Scoreboard::new(lis_runtime::toy::spec());
+        ready.set(OperandRef { class: 0, index: 1 }, 3); // ready by decode_done + 1
+        ready.set(OperandRef { class: 0, index: 2 }, 9); // still in flight
         let srcs = [OperandRef { class: 0, index: 1 }, OperandRef { class: 0, index: 2 }];
         let (issue, late) = scan_sources(&srcs, &ready, 2);
         assert_eq!(issue, 9);

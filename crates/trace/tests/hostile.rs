@@ -1,8 +1,12 @@
 //! Hostile-input safety: a trace reader fed truncated, bit-flipped, or
 //! mislabeled bytes must return a typed [`TraceError`] — never panic, never
-//! loop, never hand back silently-wrong records.
+//! loop, never hand back silently-wrong records. A well-formed trace whose
+//! records carry values no recording produces must replay, not panic.
 
-use lis_trace::{RecordOptions, Trace, TraceError, TraceInfo};
+use lis_core::F_OPCODE;
+use lis_trace::{
+    replay_ooo, RecordOptions, ReplayConfig, Trace, TraceError, TraceInfo, TraceWriter,
+};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -69,6 +73,44 @@ fn garbage_after_valid_header_is_rejected() {
     let mut corrupt = bytes[..12 + 13 + hdr_len].to_vec();
     corrupt.extend_from_slice(&[0xAB; 40]);
     assert!(Trace::read_from(corrupt.as_slice()).is_err());
+}
+
+/// `valid_trace()` re-written through the public writer, with the opcode
+/// of record `i` replaced by `op` (or unpublished, for `None`) for each
+/// `(i, op)` in `edits`. Every frame gets a fresh CRC, so the result is a
+/// well-formed trace.
+fn with_opcodes(edits: &[(usize, Option<u64>)]) -> Trace {
+    let pristine = Trace::read_from(valid_trace()).expect("pristine reads");
+    let mut records = pristine.records(None).expect("decodes");
+    for &(i, op) in edits {
+        let rec = &mut records[i];
+        assert!(rec.fields_valid.contains(F_OPCODE), "record {i} publishes an opcode");
+        rec.fields[F_OPCODE.index()] = op.unwrap_or(0);
+        if op.is_none() {
+            rec.fields_valid = rec.fields_valid.without(F_OPCODE);
+        }
+    }
+    let mut w = TraceWriter::new(Vec::new(), &pristine.meta).expect("in-memory writer");
+    for rec in &records {
+        w.push(rec).expect("in-memory push");
+    }
+    let bytes = w.finish(&pristine.footer).expect("in-memory finish");
+    Trace::read_from(bytes.as_slice()).expect("every CRC is valid")
+}
+
+#[test]
+fn out_of_range_opcode_replays_as_unpublished() {
+    // Regression: the out-of-order consumer indexed the ISA's instruction
+    // table with the opcode cast `as u16`, so this well-formed trace
+    // panicked `replay_ooo` (and `lis trace replay`) on opcode 9999, and
+    // timed opcode 65 539 as opcode 3. Both must read as unpublished.
+    let spec = lis_workloads::spec_of("alpha");
+    let cfg = ReplayConfig::default();
+    let hostile = with_opcodes(&[(10, Some(9_999)), (500, Some(65_539))]);
+    let bare = with_opcodes(&[(10, None), (500, None)]);
+    let got = replay_ooo(spec, &hostile, &cfg).expect("a well-formed trace replays");
+    let want = replay_ooo(spec, &bare, &cfg).expect("a well-formed trace replays");
+    assert_eq!(got.to_json(), want.to_json());
 }
 
 proptest! {
