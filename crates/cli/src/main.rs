@@ -925,8 +925,8 @@ fn cmd_sweep(opts: &Opts) -> Result<u8, String> {
         .filter(|s| !s.is_empty())
         .map(str::to_string)
         .collect();
-    let timings = lis_bench::resolve_timings(&timing_names)?;
-    let mut cfg = lis_bench::SweepConfig {
+    let timings = lis_harness::sweep::resolve_timings(&timing_names)?;
+    let mut cfg = lis_harness::sweep::SweepConfig {
         jobs: opts.jobs,
         kernels: opts.kernels.clone(),
         timings,
@@ -935,7 +935,7 @@ fn cmd_sweep(opts: &Opts) -> Result<u8, String> {
         // CI's isolation smoke test injects a deliberate panic into one
         // named cell; see SweepConfig::panic_cell.
         panic_cell: std::env::var("LIS_SWEEP_PANIC").ok(),
-        ..lis_bench::SweepConfig::default()
+        ..lis_harness::sweep::SweepConfig::default()
     };
     if let Some(backends) = &opts.backends {
         cfg.backends = backends.clone();
@@ -945,24 +945,24 @@ fn cmd_sweep(opts: &Opts) -> Result<u8, String> {
     }
 
     let t0 = std::time::Instant::now();
-    let report = lis_bench::run_sweep(&cfg)?;
+    let report = lis_harness::sweep::run_sweep(&cfg)?;
 
     let json_path = opts.output.as_deref().unwrap_or("BENCH_sweep.json");
-    std::fs::write(json_path, lis_bench::sweep::to_json(&report) + "\n")
+    std::fs::write(json_path, lis_harness::sweep::to_json(&report) + "\n")
         .map_err(|e| format!("{json_path}: {e}"))?;
     if report.backends.len() > 1 {
         // Multi-backend sweeps also emit the per-backend cost summary
         // (deterministic counters only, so byte-identical like the unit
         // fields of the main JSON).
-        std::fs::write("BENCH_backend.json", lis_bench::sweep::backend_json(&report) + "\n")
+        std::fs::write("BENCH_backend.json", lis_harness::sweep::backend_json(&report) + "\n")
             .map_err(|e| format!("BENCH_backend.json: {e}"))?;
     }
     if let Some(md_path) = &opts.report {
-        std::fs::write(md_path, lis_bench::sweep::render_markdown(&report))
+        std::fs::write(md_path, lis_harness::sweep::render_markdown(&report))
             .map_err(|e| format!("{md_path}: {e}"))?;
     }
 
-    let bad: Vec<&lis_bench::CellResult> = report
+    let bad: Vec<&lis_harness::sweep::CellResult> = report
         .cells
         .iter()
         .filter(|c| {
@@ -1217,15 +1217,11 @@ fn minimize_to_file(
 
 fn cmd_serve(opts: &Opts) -> Result<u8, String> {
     if opts.bench_warm {
-        let cfg = lis_bench::warm::WarmConfig {
-            max_insts: opts.max,
-            ..lis_bench::warm::WarmConfig::default()
-        };
-        let report = lis_bench::run_warm(&cfg)?;
+        let report = lis_harness::warm::run_warm(opts.max)?;
         let out = opts.output.clone().unwrap_or_else(|| "BENCH_serve.json".to_string());
-        std::fs::write(&out, format!("{}\n", lis_bench::warm::to_json(&report)))
+        std::fs::write(&out, format!("{}\n", lis_harness::warm::to_json(&report)))
             .map_err(|e| format!("{out}: {e}"))?;
-        print!("{}", lis_bench::warm::render(&report));
+        print!("{}", lis_harness::warm::render(&report));
         println!("wrote {out}");
         return Ok(u8::from(!report.ok()));
     }

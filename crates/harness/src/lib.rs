@@ -32,6 +32,13 @@
 //!   serialize it as a replayable `.chaosplan` repro. [`catch_cell`] and
 //!   [`run_with_retry`] give sweep/verify cells panic isolation with
 //!   deterministic, bounded retry.
+//!
+//! * **Deterministic matrices** ([`sweep`], [`warm`]): `lis sweep` runs
+//!   every buildset × ISA × kernel × backend × timing-preset cell in
+//!   isolation and reports detail-work units per instruction, and
+//!   `lis serve --bench-warm` proves the shared artifact store's warm runs
+//!   equal their cold ones. Both write byte-identical files: no wall-clock
+//!   time enters either.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -45,7 +52,9 @@ mod lockstep;
 mod minimize;
 mod report;
 mod supervise;
+pub mod sweep;
 mod verify;
+pub mod warm;
 mod watchdog;
 
 pub use campaign::{chaos_run, ChaosConfig, ChaosOutcome, ChaosRunReport};

@@ -20,9 +20,8 @@
 //! repeated runs, hosts, and any `--jobs` count. Wall-clock speed is the
 //! repository benchmark's job (`benchmark/`), not the sweep's.
 
-use crate::semantic_rank;
+use crate::{resolve_jobs, run_with_retry, Watchdog};
 use lis_core::{BuildsetDef, JsonObj, STANDARD_BUILDSETS};
-use lis_harness::Watchdog;
 use lis_runtime::{Backend, SimStats, SimStop, Simulator};
 use lis_timing::{run_functional_first_ooo, CoreConfig, OooConfig, TimingConfig, TimingReport};
 use lis_workloads::{spec_of, suite_of, ISAS};
@@ -166,15 +165,6 @@ pub struct SweepReport {
     pub max_insts: u64,
     /// Worker threads used.
     pub jobs: usize,
-}
-
-/// Resolves a requested job count against the cell count: 0 means one per
-/// available core, and the result is always within `[1, cells]`. The policy
-/// lives in [`lis_harness::resolve_jobs`] so the sweep pool and the service
-/// scheduler share one derivation; this thin alias keeps the historical
-/// bench-crate entry point.
-pub fn resolve_jobs(requested: usize, cells: usize) -> usize {
-    lis_harness::resolve_jobs(requested, cells)
 }
 
 /// Validates a kernel subset against the suite (which is identical across
@@ -358,9 +348,7 @@ fn run_cell(cell: &SweepCell, cfg: &SweepConfig, attempt: u32) -> CellResult {
 fn run_cell_isolated(cell: &SweepCell, cfg: &SweepConfig) -> CellResult {
     let label = cell_label(cell);
     let (result, attempts) =
-        lis_harness::run_with_retry(cfg.retries, cell_seed(&label), |attempt| {
-            run_cell(cell, cfg, attempt)
-        });
+        run_with_retry(cfg.retries, cell_seed(&label), |attempt| run_cell(cell, cfg, attempt));
     let crashes = attempts.len() as u32;
     let crash = if attempts.is_empty() { None } else { Some(attempts.join("; ")) };
     match result {
@@ -630,6 +618,34 @@ pub fn backend_json(r: &SweepReport) -> String {
     o.finish()
 }
 
+/// Table I: the size of each ISA description, of its derived tooling, and
+/// of an experimental buildset, counted from the sources themselves.
+fn render_table1() -> String {
+    use std::fmt::Write;
+    let mut out = String::new();
+    let _ = writeln!(out, "Table I: instruction-set description characteristics");
+    let _ = writeln!(
+        out,
+        "{:<8} {:>18} {:>16} {:>14}",
+        "ISA", "description lines", "tooling lines", "instructions"
+    );
+    for s in [lis_isa_alpha::spec_stats(), lis_isa_arm::spec_stats(), lis_isa_ppc::spec_stats()] {
+        let _ = writeln!(
+            out,
+            "{:<8} {:>18} {:>16} {:>14}",
+            s.isa, s.isa_description_lines, s.tooling_lines, s.num_instructions
+        );
+    }
+    let (buildsets, lines) =
+        lis_core::count_macro_blocks(include_str!("../../core/src/buildset.rs"), "buildset");
+    let _ = writeln!(
+        out,
+        "standard buildsets: {buildsets}; lines per experimental buildset: {:.1} (paper: ~13)",
+        lines as f64 / buildsets as f64
+    );
+    out
+}
+
 /// Renders the Tables I–III analog as a markdown report.
 pub fn render_markdown(r: &SweepReport) -> String {
     use std::fmt::Write;
@@ -659,7 +675,7 @@ pub fn render_markdown(r: &SweepReport) -> String {
     }
 
     let _ = writeln!(out, "## Table I analog: specification sizes\n");
-    let _ = writeln!(out, "```\n{}```\n", crate::render_table1());
+    let _ = writeln!(out, "```\n{}```\n", render_table1());
 
     for &backend in &r.backends {
         let rows: Vec<&RatioRow> = r.table.iter().filter(|row| row.backend == backend).collect();
@@ -676,10 +692,12 @@ pub fn render_markdown(r: &SweepReport) -> String {
         );
         let _ = writeln!(out, "|---|---|---|---|---|---|---|");
         let mut sorted = rows.clone();
+        // Block rows first, then one, then step (`Semantic`'s declaration
+        // order); standard order within each.
         sorted.sort_by_key(|row| {
-            let idx = STANDARD_BUILDSETS.iter().position(|b| b.name == row.buildset);
-            let bs = STANDARD_BUILDSETS.iter().find(|b| b.name == row.buildset).expect("known");
-            (semantic_rank(bs), idx)
+            let idx =
+                STANDARD_BUILDSETS.iter().position(|b| b.name == row.buildset).expect("known");
+            (STANDARD_BUILDSETS[idx].semantic as u8, idx)
         });
         for row in &sorted {
             let _ = writeln!(
@@ -800,15 +818,6 @@ mod tests {
     }
 
     #[test]
-    fn job_resolution_clamps() {
-        assert_eq!(resolve_jobs(3, 100), 3);
-        assert_eq!(resolve_jobs(64, 4), 4, "jobs beyond the cell count clamp down");
-        assert_eq!(resolve_jobs(7, 0), 1, "an empty matrix still gets one worker");
-        let auto = resolve_jobs(0, 1000);
-        assert!((1..=1000).contains(&auto), "auto is within [1, cells]");
-    }
-
-    #[test]
     fn unknown_kernel_is_a_usage_error() {
         let err = resolve_kernels(&["nope".into()]).expect_err("must reject");
         assert!(err.contains("unknown kernel 'nope'"), "{err}");
@@ -833,7 +842,7 @@ mod tests {
 
     #[test]
     fn sweep_json_is_bit_identical_across_job_counts() {
-        // The acceptance criterion: the JSON is a pure function of the
+        // The sweep's contract: the JSON is a pure function of the
         // configuration, not of scheduling.
         let a = to_json(&run_sweep(&tiny(1)).expect("sweeps"));
         let b = to_json(&run_sweep(&tiny(4)).expect("sweeps"));
@@ -850,9 +859,8 @@ mod tests {
 
     #[test]
     fn multi_preset_sweep_is_bit_identical_across_job_counts() {
-        // The tentpole acceptance criterion: a timing axis crossing all
-        // three component dimensions, and the JSON still a pure function of
-        // the configuration.
+        // A timing axis crossing all three component dimensions, and the
+        // JSON still a pure function of the configuration.
         let multi = |jobs| SweepConfig {
             timings: resolve_timings(&["classic".into(), "aggressive".into()]).unwrap(),
             ..tiny(jobs)

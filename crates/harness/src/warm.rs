@@ -8,7 +8,7 @@
 //! deterministic by construction; the wall-clock cost of a cold session is
 //! the repository benchmark's `serve.cold_x`.
 
-use lis_core::JsonObj;
+use lis_core::{BuildsetDef, JsonObj, BLOCK_ALL, BLOCK_MIN};
 use lis_runtime::{ArtifactKey, ArtifactStore, Backend, Simulator, StoreStats};
 use lis_workloads::{spec_of, ISAS};
 use std::sync::Arc;
@@ -16,26 +16,11 @@ use std::sync::Arc;
 /// The one backend with reusable translation state.
 const BACKEND: Backend = Backend::Compiled;
 
-/// What to measure.
-#[derive(Debug, Clone)]
-pub struct WarmConfig {
-    /// Kernel names (each must exist on every ISA).
-    pub kernels: Vec<String>,
-    /// Buildset names.
-    pub buildsets: Vec<String>,
-    /// Instruction budget per run.
-    pub max_insts: u64,
-}
+/// The scoreboard's buildsets, outer axis within an ISA.
+const BUILDSETS: [BuildsetDef; 2] = [BLOCK_ALL, BLOCK_MIN];
 
-impl Default for WarmConfig {
-    fn default() -> WarmConfig {
-        WarmConfig {
-            kernels: vec!["gcd".to_string(), "strrev".to_string()],
-            buildsets: vec!["block-all".to_string(), "block-min".to_string()],
-            max_insts: 100_000_000,
-        }
-    }
-}
+/// The scoreboard's kernels (each exists on every ISA), inner axis.
+const KERNELS: [&str; 2] = ["gcd", "strrev"];
 
 /// One (ISA, buildset, kernel) cell on the compiled backend, run cold then
 /// warm.
@@ -46,7 +31,7 @@ pub struct WarmCell {
     /// Buildset name.
     pub buildset: &'static str,
     /// Kernel name.
-    pub kernel: String,
+    pub kernel: &'static str,
     /// Instructions retired (identical cold and warm, asserted).
     pub insts: u64,
     /// Blocks the cold run translated.
@@ -78,32 +63,29 @@ impl WarmReport {
     }
 }
 
-/// Runs the cold-vs-warm matrix against one fresh [`ArtifactStore`].
+/// Runs the cold-vs-warm matrix (every ISA × `BUILDSETS` × `KERNELS`,
+/// each run with a `max_insts` budget) against one fresh [`ArtifactStore`].
 ///
 /// # Errors
 ///
-/// A usage-level message (unknown kernel/buildset, assembly failure) or a
-/// broken invariant (a cold run refusing to export, a store miss right
-/// after publishing, cold/warm divergence).
-pub fn run_warm(cfg: &WarmConfig) -> Result<WarmReport, String> {
+/// An assembly or simulator-construction failure, or a broken invariant (a
+/// cold run refusing to export, a store miss right after publishing,
+/// cold/warm divergence).
+pub fn run_warm(max_insts: u64) -> Result<WarmReport, String> {
     let store = ArtifactStore::new();
     let mut cells = Vec::new();
     for isa in ISAS {
-        for bs_name in &cfg.buildsets {
-            let bs = *lis_core::find_buildset(bs_name)
-                .ok_or_else(|| format!("unknown buildset `{bs_name}`"))?;
-            for kname in &cfg.kernels {
-                let w = lis_workloads::kernel(isa, kname)
-                    .ok_or_else(|| format!("unknown kernel `{kname}` on {isa}"))?;
+        for bs in BUILDSETS {
+            for kname in KERNELS {
+                let w = lis_workloads::kernel(isa, kname).expect("warm kernels are suite kernels");
                 let image = w.assemble().map_err(|e| e.to_string())?;
-                let label = format!("{isa}/{bs_name}/{kname}/{}", BACKEND.name());
+                let label = format!("{isa}/{}/{kname}/{}", bs.name, BACKEND.name());
                 let key = ArtifactKey::new(isa, &image, bs.name, BACKEND);
 
                 let mut cold = Simulator::new(spec_of(isa), bs).map_err(|e| e.to_string())?;
                 cold.set_backend(BACKEND);
                 cold.load_program(&image).map_err(|e| e.to_string())?;
-                let cs =
-                    cold.run_to_halt(cfg.max_insts).map_err(|e| format!("{label}: cold: {e}"))?;
+                let cs = cold.run_to_halt(max_insts).map_err(|e| format!("{label}: cold: {e}"))?;
                 let art = cold
                     .export_artifacts()
                     .ok_or_else(|| format!("{label}: cold run refused to export"))?;
@@ -115,8 +97,7 @@ pub fn run_warm(cfg: &WarmConfig) -> Result<WarmReport, String> {
                 let shared =
                     store.get(&key).ok_or_else(|| format!("{label}: store miss after publish"))?;
                 let seeded = warm.seed_artifacts(&shared).map_err(|e| format!("{label}: {e}"))?;
-                let ws =
-                    warm.run_to_halt(cfg.max_insts).map_err(|e| format!("{label}: warm: {e}"))?;
+                let ws = warm.run_to_halt(max_insts).map_err(|e| format!("{label}: warm: {e}"))?;
 
                 let equal = cs.exit_code == ws.exit_code
                     && cs.insts == ws.insts
@@ -128,7 +109,7 @@ pub fn run_warm(cfg: &WarmConfig) -> Result<WarmReport, String> {
                 cells.push(WarmCell {
                     isa,
                     buildset: bs.name,
-                    kernel: kname.clone(),
+                    kernel: kname,
                     insts: cs.insts,
                     cold_blocks_built: cold.stats.blocks_built,
                     warm_blocks_built: warm.stats.blocks_built,
@@ -138,7 +119,7 @@ pub fn run_warm(cfg: &WarmConfig) -> Result<WarmReport, String> {
             }
         }
     }
-    Ok(WarmReport { cells, store: store.stats(), max_insts: cfg.max_insts })
+    Ok(WarmReport { cells, store: store.stats(), max_insts })
 }
 
 /// Renders the scoreboard (`BENCH_serve.json`). Deterministic by
@@ -162,7 +143,7 @@ pub fn to_json(r: &WarmReport) -> String {
         let mut co = JsonObj::new();
         co.str("isa", c.isa)
             .str("buildset", c.buildset)
-            .str("kernel", &c.kernel)
+            .str("kernel", c.kernel)
             .str("backend", BACKEND.name())
             .u64("insts", c.insts)
             .u64("cold_blocks_built", c.cold_blocks_built)
@@ -208,13 +189,8 @@ mod tests {
 
     #[test]
     fn warm_runs_adopt_everything_and_match_cold() {
-        let cfg = WarmConfig {
-            kernels: vec!["gcd".to_string()],
-            buildsets: vec!["block-all".to_string()],
-            ..WarmConfig::default()
-        };
-        let report = run_warm(&cfg).expect("matrix runs");
-        assert_eq!(report.cells.len(), 3, "one cell per ISA");
+        let report = run_warm(100_000_000).expect("matrix runs");
+        assert_eq!(report.cells.len(), 12, "3 ISAs x 2 buildsets x 2 kernels");
         assert!(report.ok(), "{report:?}");
         for c in &report.cells {
             assert!(c.cold_blocks_built > 0, "{c:?}");
@@ -227,7 +203,20 @@ mod tests {
         assert!(json.contains(r#""ok":true"#));
         assert!(!json.contains("cold_secs"), "no wall-clock in the scoreboard");
         // Deterministic: the same matrix renders byte-identically.
-        let again = to_json(&run_warm(&cfg).expect("matrix reruns"));
+        let again = to_json(&run_warm(100_000_000).expect("matrix reruns"));
         assert_eq!(json, again);
+    }
+
+    #[test]
+    fn scoreboard_at_the_default_budget_equals_the_committed_bench_serve_json() {
+        // `lis serve --bench-warm` runs with the CLI's default `--max` (100M)
+        // and writes the scoreboard plus a newline.
+        let committed = include_str!("../../../BENCH_serve.json");
+        let report = run_warm(100_000_000).expect("matrix runs");
+        assert_eq!(
+            format!("{}\n", to_json(&report)),
+            committed,
+            "regenerate with `lis serve --bench-warm`"
+        );
     }
 }

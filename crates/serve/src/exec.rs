@@ -1,5 +1,5 @@
 //! Request execution: each protocol operation mapped onto the existing
-//! toolkit (`lis_runtime`, `lis_harness`, `lis_bench`, `lis_trace`) with the
+//! toolkit (`lis_runtime`, `lis_harness`, `lis_trace`) with the
 //! CLI's exit-code vocabulary as the per-request `status`.
 //!
 //! The shared [`ArtifactStore`] is consulted only by clean `run` requests:
@@ -283,22 +283,22 @@ fn exec_sweep_cell(kernels: &[String], backends: &str, timings: &[String], max: 
         Ok(b) => b,
         Err(e) => return Outcome::fail(2, e),
     };
-    let timings = match lis_bench::resolve_timings(timings) {
+    let timings = match lis_harness::sweep::resolve_timings(timings) {
         Ok(t) => t,
         Err(e) => return Outcome::fail(2, e),
     };
     // One worker: the scheduler already provides request-level parallelism,
     // and the sweep JSON is jobs-invariant (that is the point of the
     // byte-identity check the CI job runs against `lis sweep`).
-    let cfg = lis_bench::SweepConfig {
+    let cfg = lis_harness::sweep::SweepConfig {
         jobs: 1,
         kernels: kernels.to_vec(),
         backends,
         timings,
         max_insts: max,
-        ..lis_bench::SweepConfig::default()
+        ..lis_harness::sweep::SweepConfig::default()
     };
-    let report = match lis_bench::run_sweep(&cfg) {
+    let report = match lis_harness::sweep::run_sweep(&cfg) {
         Ok(r) => r,
         Err(e) => return Outcome::fail(2, e),
     };
@@ -318,7 +318,7 @@ fn exec_sweep_cell(kernels: &[String], backends: &str, timings: &[String], max: 
         .u64("bad_cells", bad as u64)
         // The exact bytes `lis sweep` would write (minus the trailing
         // newline), shipped as a string so a client can byte-compare.
-        .str("sweep", &lis_bench::sweep::to_json(&report));
+        .str("sweep", &lis_harness::sweep::to_json(&report));
     let payload = o.finish();
     if bad == 0 {
         Outcome::ok(payload)
@@ -328,7 +328,7 @@ fn exec_sweep_cell(kernels: &[String], backends: &str, timings: &[String], max: 
 }
 
 fn exec_trace_replay(path: &str, shards: usize, timings: &[String]) -> Outcome {
-    let presets = match lis_bench::resolve_timings(timings) {
+    let presets = match lis_harness::sweep::resolve_timings(timings) {
         Ok(t) => t,
         Err(e) => return Outcome::fail(2, e),
     };

@@ -3,7 +3,7 @@
 //! and the interface lint catches invalid derivations before anything runs.
 //!
 //! ```text
-//! cargo run -p lis-bench --release --example custom_buildset
+//! cargo run -p lis-tests --release --example custom_buildset
 //! ```
 
 use lis_core::{

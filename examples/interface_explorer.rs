@@ -3,19 +3,24 @@
 //! miniature of the paper's Table II.
 //!
 //! ```text
-//! cargo run -p lis-bench --release --example interface_explorer [isa] [kernel]
+//! cargo run -p lis-tests --release --example interface_explorer [isa] [kernel]
 //! ```
 
 use lis_core::STANDARD_BUILDSETS;
 use lis_runtime::Simulator;
-use lis_workloads::{spec_of, suite_of};
+use lis_workloads::{spec_of, suite_of, ISAS};
 use std::time::Instant;
 
 fn main() {
     let isa = std::env::args().nth(1).unwrap_or_else(|| "alpha".into());
     let kernel = std::env::args().nth(2).unwrap_or_else(|| "sieve".into());
+    if !ISAS.contains(&isa.as_str()) {
+        eprintln!("unknown ISA `{isa}` (valid: {})", ISAS.join(", "));
+        std::process::exit(2);
+    }
     let Some(w) = suite_of(&isa).iter().find(|w| w.name == kernel) else {
-        eprintln!("unknown kernel `{kernel}` (try sieve, fib, matmul, hash31, strrev, sort)");
+        let names: Vec<&str> = suite_of(&isa).iter().map(|w| w.name).collect();
+        eprintln!("unknown kernel `{kernel}` (valid: {})", names.join(", "));
         std::process::exit(2);
     };
     let image = w.assemble().expect("kernel assembles");

@@ -2,7 +2,7 @@
 //! the debugging-friendly `one-all` interface, and watch it run.
 //!
 //! ```text
-//! cargo run -p lis-bench --example quickstart
+//! cargo run -p lis-tests --example quickstart
 //! ```
 
 use lis_core::{DynInst, F_ALU_OUT, F_EFF_ADDR, ONE_ALL};

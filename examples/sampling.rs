@@ -10,7 +10,7 @@
 //! sampling pay off.
 //!
 //! ```text
-//! cargo run -p lis-bench --release --example sampling
+//! cargo run -p lis-tests --release --example sampling
 //! ```
 
 use lis_core::{DynInst, Step, BLOCK_MIN, STEP_ALL};

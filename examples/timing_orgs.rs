@@ -5,20 +5,25 @@
 //! (repaired by rollback).
 //!
 //! ```text
-//! cargo run -p lis-bench --release --example timing_orgs [isa] [kernel]
+//! cargo run -p lis-tests --release --example timing_orgs [isa] [kernel]
 //! ```
 
 use lis_timing::{
     run_functional_first, run_integrated, run_speculative_functional_first, run_timing_directed,
     run_timing_first, CoreConfig, MemOverride,
 };
-use lis_workloads::{spec_of, suite_of};
+use lis_workloads::{spec_of, suite_of, ISAS};
 
 fn main() {
     let isa = std::env::args().nth(1).unwrap_or_else(|| "ppc".into());
     let kernel = std::env::args().nth(2).unwrap_or_else(|| "sort".into());
+    if !ISAS.contains(&isa.as_str()) {
+        eprintln!("unknown ISA `{isa}` (valid: {})", ISAS.join(", "));
+        std::process::exit(2);
+    }
     let Some(w) = suite_of(&isa).iter().find(|w| w.name == kernel) else {
-        eprintln!("unknown kernel `{kernel}`");
+        let names: Vec<&str> = suite_of(&isa).iter().map(|w| w.name).collect();
+        eprintln!("unknown kernel `{kernel}` (valid: {})", names.join(", "));
         std::process::exit(2);
     };
     let image = w.assemble().expect("kernel assembles");

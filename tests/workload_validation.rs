@@ -1,7 +1,7 @@
 //! The full validation matrix: every kernel × every ISA × every standard
 //! interface must reproduce its golden model exactly (the paper's §V-D,
 //! where "no additional errors were found during the interface validation
-//! runs" is the pass criterion).
+//! runs" is the pass condition).
 
 use lis_core::STANDARD_BUILDSETS;
 use lis_runtime::Simulator;
