@@ -25,12 +25,17 @@ impl LineStats {
 
 /// Counts lines the way the paper's Table I does: code lines exclude blank
 /// lines and comment-only lines (`//`, `///`, `//!`, and `/* ... */` blocks).
+/// Counting stops at the file's `#[cfg(test)]` module: tests describe
+/// nothing and are not tooling.
 pub fn count_lines(src: &str) -> LineStats {
     let mut stats = LineStats::default();
     let mut in_block_comment = false;
     for line in src.lines() {
-        stats.total += 1;
         let t = line.trim();
+        if t == "#[cfg(test)]" {
+            break;
+        }
+        stats.total += 1;
         if t.is_empty() {
             continue;
         }
@@ -134,6 +139,13 @@ mod tests {
         let s = count_lines(src);
         assert_eq!(s.code, 2);
         assert_eq!(s.total, 6);
+    }
+
+    #[test]
+    fn counting_stops_at_the_test_module() {
+        let src = "code();\n\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\n";
+        let s = count_lines(src);
+        assert_eq!((s.code, s.total), (1, 2));
     }
 
     #[test]
