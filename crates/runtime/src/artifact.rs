@@ -40,8 +40,6 @@ pub struct Artifacts {
     /// Backend the caches were built by (seeding checks equality: the
     /// interpreted backend keeps no caches to seed).
     pub(crate) backend: Backend,
-    /// Block-length cap in force when the blocks were built.
-    pub(crate) max_block: usize,
     /// Single-instruction decode cache entries `(pc, (op, bits))`, sorted.
     pub(crate) insts: Vec<(u64, (u16, u32))>,
     /// Compiled superblocks, sorted by entry PC.
@@ -197,8 +195,6 @@ pub enum SeedError {
     BuildsetMismatch,
     /// The snapshot was built by a different backend.
     BackendMismatch,
-    /// The snapshot was built under a different block-length cap.
-    MaxBlockMismatch,
     /// The target simulator has (or had) fault injection armed; its caches
     /// follow chaos invalidation rules and must stay private.
     Tainted,
@@ -210,7 +206,6 @@ impl std::fmt::Display for SeedError {
             SeedError::IsaMismatch => "ISA mismatch",
             SeedError::BuildsetMismatch => "buildset mismatch",
             SeedError::BackendMismatch => "backend mismatch",
-            SeedError::MaxBlockMismatch => "max-block mismatch",
             SeedError::Tainted => "simulator is chaos-tainted",
         };
         f.write_str(what)
@@ -244,7 +239,6 @@ mod tests {
             isa: "alpha",
             buildset: "block-all",
             backend: Backend::Compiled,
-            max_block: 64,
             insts: vec![],
             compiled: vec![],
         });

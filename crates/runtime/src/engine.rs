@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 /// Marker for an undecodable word inside a predecoded block.
 pub(crate) const ILLEGAL: u16 = u16::MAX;
 
-/// Default maximum basic-block length in instructions.
+/// Maximum predecoded basic-block length in instructions.
 pub const DEFAULT_MAX_BLOCK: usize = 64;
 
 /// Default stack top used by [`Simulator::load_program`].
@@ -265,7 +265,6 @@ pub struct Simulator {
     checkpoints: Vec<Checkpoint>,
     /// Execution statistics.
     pub stats: SimStats,
-    max_block: usize,
     chaos: Option<ChaosState>,
     /// Sticky: set the moment fault injection is armed, never cleared. A
     /// tainted simulator refuses to export its caches — a translate-fault
@@ -365,7 +364,6 @@ impl Simulator {
             compiled: CompiledCache::default(),
             checkpoints: Vec::new(),
             stats: SimStats::default(),
-            max_block: DEFAULT_MAX_BLOCK,
             chaos: None,
             tainted: false,
             inst_flipped: false,
@@ -383,18 +381,6 @@ impl Simulator {
     /// Selects the execution backend (default: [`Backend::Compiled`]).
     pub fn set_backend(&mut self, backend: Backend) -> &mut Self {
         self.backend = backend;
-        self.clear_caches();
-        self
-    }
-
-    /// Sets the maximum predecoded block length.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len` is zero.
-    pub fn set_max_block(&mut self, len: usize) -> &mut Self {
-        assert!(len > 0, "block length must be positive");
-        self.max_block = len;
         self.clear_caches();
         self
     }
@@ -574,7 +560,6 @@ impl Simulator {
             isa: self.isa.name,
             buildset: self.bs.name,
             backend: self.backend,
-            max_block: self.max_block,
             insts,
             compiled: self.compiled.export(),
         })
@@ -589,7 +574,7 @@ impl Simulator {
     /// # Errors
     ///
     /// Returns a [`crate::SeedError`] when the snapshot does not describe
-    /// this simulator (different ISA, buildset, backend, or block cap) or
+    /// this simulator (different ISA, buildset, or backend) or
     /// when this simulator is [tainted](Simulator::tainted) — a chaos
     /// session's caches follow per-session invalidation rules and must stay
     /// private.
@@ -606,9 +591,6 @@ impl Simulator {
         }
         if art.backend != self.backend {
             return Err(SeedError::BackendMismatch);
-        }
-        if art.max_block != self.max_block {
-            return Err(SeedError::MaxBlockMismatch);
         }
         let mut seeded = 0usize;
         if self.backend == Backend::Compiled {
@@ -1395,7 +1377,7 @@ impl Simulator {
                     break;
                 }
             }
-            if insts.len() >= self.max_block {
+            if insts.len() >= DEFAULT_MAX_BLOCK {
                 break;
             }
             p = p.wrapping_add(4);
@@ -1905,8 +1887,8 @@ impl Simulator {
         // the sweep runs thousands of them — publish into already-grown
         // storage instead of reallocating per call.
         let mut buf = std::mem::take(&mut self.scratch);
-        if buf.capacity() < self.max_block {
-            buf.reserve(self.max_block - buf.len());
+        if buf.capacity() < DEFAULT_MAX_BLOCK {
+            buf.reserve(DEFAULT_MAX_BLOCK - buf.len());
         }
         let result = self.drive(max_insts, &mut sink, &mut buf);
         self.scratch = buf;

@@ -129,12 +129,6 @@ fn seed_rejects_mismatched_configurations() {
     let mut wrong_bs = Simulator::new(toy::spec(), ONE_ALL).expect("builds");
     wrong_bs.load_program(&loop_program()).expect("loads");
     assert_eq!(wrong_bs.seed_artifacts(&art), Err(SeedError::BuildsetMismatch));
-
-    let mut wrong_cap = Simulator::new(toy::spec(), BLOCK_ALL).expect("builds");
-    wrong_cap.set_max_block(8);
-    wrong_cap.load_program(&loop_program()).expect("loads");
-    assert_eq!(wrong_cap.seed_artifacts(&art), Err(SeedError::MaxBlockMismatch));
-    assert!(SeedError::MaxBlockMismatch.to_string().contains("max-block"));
 }
 
 #[test]
