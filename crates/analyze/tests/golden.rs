@@ -47,6 +47,7 @@ const fn inst(
         mask: 0xff00_0000,
         bits: bits << 24,
         operands: &[],
+        syntax: &[],
         actions,
         extra_flows,
     }
@@ -242,6 +243,7 @@ fn lis005_operand_count_exceeds_flow_coverage() {
         bits: 0x0100_0000,
         operands: TWO_SRC,
         actions: StepActions::NONE,
+        syntax: &[],
         extra_flows: &[],
     }];
     let diags = pass_isa(&fixture(JUMP2));

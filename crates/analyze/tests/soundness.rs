@@ -90,6 +90,7 @@ static BROKEN_INSTS: &[InstDef] = &[InstDef {
     bits: 0x0100_0000,
     operands: &[],
     actions: StepActions { memory: Some(sneak_memory_write), ..StepActions::NONE },
+    syntax: &[],
     extra_flows: &[],
 }];
 
@@ -106,6 +107,7 @@ static FIXED_INSTS: &[InstDef] = &[InstDef {
         writeback: Some(generic_writeback),
         ..StepActions::NONE
     },
+    syntax: &[],
     extra_flows: &[],
 }];
 
@@ -211,6 +213,7 @@ static BAD_BACKING_INSTS: &[InstDef] = &[
             writeback: Some(generic_writeback),
             ..StepActions::NONE
         },
+        syntax: &[],
         extra_flows: &[],
     },
     InstDef {
@@ -220,6 +223,7 @@ static BAD_BACKING_INSTS: &[InstDef] = &[
         bits: 0x0900_0000,
         operands: &[],
         actions: StepActions { exception: Some(ex_halt), ..StepActions::NONE },
+        syntax: &[],
         extra_flows: &[],
     },
 ];

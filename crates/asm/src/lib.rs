@@ -4,7 +4,9 @@
 //! this crate provides the machinery shared by all three assemblers:
 //! lexing, labels, directives, constant expressions, section management,
 //! and the two-pass symbol resolution. Each ISA crate supplies an
-//! [`IsaAssembler`] that knows its register names and instruction encodings.
+//! [`IsaAssembler`] that knows its register names, its instruction table,
+//! and its pseudo-instructions; [`syntax`] encodes and prints every real
+//! instruction from the syntax its `InstDef` declares.
 //!
 //! Supported directives: `.text`, `.data`, `.org`, `.align`, `.word`,
 //! `.half`, `.byte`, `.ascii`, `.asciz`, `.space`, `.equ`, `.global`.
@@ -19,10 +21,12 @@
 mod error;
 mod expr;
 mod parse;
+pub mod syntax;
 
 pub use error::AsmError;
 pub use expr::{eval, SymTab};
 pub use parse::{parse_lines, parse_operand, parse_string, split_operands, Body, Operand, Stmt};
+pub use syntax::{Line, Table};
 
 use lis_mem::{Endian, Image, Section};
 
@@ -40,7 +44,8 @@ pub struct EncodeCtx<'a> {
     pub syms: &'a SymTab,
 }
 
-/// The per-ISA half of an assembler: register names and encodings.
+/// The per-ISA half of an assembler: register names, the instruction table,
+/// pseudo-instructions, and the ISA's custom operand slots.
 pub trait IsaAssembler {
     /// ISA name for diagnostics.
     fn name(&self) -> &'static str;
@@ -49,15 +54,79 @@ pub trait IsaAssembler {
     fn endian(&self) -> Endian;
 
     /// Whether `name` (already lower-cased) is a register.
-    fn is_reg(&self, name: &str) -> bool;
+    fn is_reg(&self, name: &str) -> bool {
+        self.reg(name).is_some()
+    }
 
-    /// Encodes one instruction.
+    /// Encodes one instruction: one the [table](IsaAssembler::table) names
+    /// by the syntax it declares ([`syntax::encode`]), any other as a
+    /// pseudo-instruction.
     ///
     /// # Errors
     ///
     /// Returns a description of the problem (unknown mnemonic, operand
     /// count/kind mismatch, out-of-range immediate...).
-    fn encode(&self, mnemonic: &str, ops: &[Operand], ctx: &EncodeCtx<'_>) -> Result<u32, String>;
+    fn encode(&self, mnemonic: &str, ops: &[Operand], ctx: &EncodeCtx<'_>) -> Result<u32, String> {
+        match self.table().lookup(mnemonic) {
+            Some(found) => syntax::encode(self, found, ops, ctx),
+            None => self.encode_pseudo(mnemonic, ops, ctx),
+        }
+    }
+
+    /// Encodes a mnemonic the table does not name: a pseudo-instruction
+    /// expands onto real instructions through [`IsaAssembler::encode`].
+    ///
+    /// # Errors
+    ///
+    /// As [`IsaAssembler::encode`]; by default, an unknown mnemonic.
+    fn encode_pseudo(
+        &self,
+        mnemonic: &str,
+        ops: &[Operand],
+        ctx: &EncodeCtx<'_>,
+    ) -> Result<u32, String> {
+        let _ = (ops, ctx);
+        Err(format!("unknown mnemonic `{mnemonic}`"))
+    }
+
+    /// The instruction table [`syntax`] encodes and prints by.
+    fn table(&self) -> &'static Table {
+        static NONE: Table = Table::new(&[]);
+        &NONE
+    }
+
+    /// The number of the register `name` (already lower-cased) that a
+    /// [`lis_core::Slot::Reg`] operand may name.
+    fn reg(&self, name: &str) -> Option<u16> {
+        let _ = name;
+        None
+    }
+
+    /// The printed name of register `n`.
+    fn reg_name(&self, n: u16) -> String {
+        format!("r{n}")
+    }
+
+    /// Encodes the ISA's custom operand slot `kind` from the front of `ops`:
+    /// the field bits and how many operands it took.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of an operand the slot cannot hold.
+    fn encode_custom(
+        &self,
+        kind: u8,
+        ops: &[Operand],
+        ctx: &EncodeCtx<'_>,
+    ) -> Result<(u32, usize), String> {
+        let _ = (ops, ctx);
+        Err(format!("{}: no custom operand {kind}", self.name()))
+    }
+
+    /// Prints the ISA's custom operand slot `kind` of `word` into `line`.
+    fn print_custom(&self, kind: u8, word: u32, line: &mut Line) {
+        let _ = (kind, word, line);
+    }
 }
 
 #[derive(Debug)]

@@ -1,8 +1,8 @@
 //! Instruction definitions — the single specification.
 //!
 //! Each [`InstDef`] captures *everything* about one instruction exactly once:
-//! its encoding, its declared operands, its per-step semantic actions, and
-//! its inter-step dataflow. Every interface, at every level of detail, is
+//! its encoding, its declared operands, its assembly syntax, its per-step
+//! semantic actions, and its inter-step dataflow. Every interface, at every level of detail, is
 //! derived from these definitions; no instruction behaviour is ever written
 //! twice.
 
@@ -13,6 +13,7 @@ use crate::field::{
 };
 use crate::operand::OperandSpec;
 use crate::step::Step;
+use crate::syntax::Slot;
 use std::fmt;
 
 /// A semantic action: the code the specification attaches to one step of one
@@ -305,6 +306,9 @@ pub struct InstDef {
     pub bits: u32,
     /// Declared operands (for documentation, stats, and the lint).
     pub operands: &'static [OperandSpec],
+    /// Assembly syntax: mnemonic suffixes, then operand slots in source
+    /// order. The assembler and disassembler read it; the runtime does not.
+    pub syntax: &'static [Slot],
     /// Per-step semantic actions.
     pub actions: StepActions,
     /// Extra inter-step dataflow beyond the class defaults.
@@ -348,6 +352,7 @@ mod tests {
             bits: 0x1000_0000,
             operands: &[],
             actions: StepActions::default(),
+            syntax: &[],
             extra_flows: &[],
         };
         assert!(def.matches(0x1000_0000));
@@ -382,6 +387,7 @@ mod tests {
             bits: 0,
             operands: &[],
             actions: StepActions::default(),
+            syntax: &[],
             extra_flows: EXTRA,
         };
         assert_eq!(def.flows().count(), 1);

@@ -150,6 +150,7 @@ mod tests {
                 writeback: None,
                 exception: None,
             },
+            syntax: &[],
             extra_flows: &[],
         },
         InstDef {
@@ -166,6 +167,7 @@ mod tests {
                 writeback: None,
                 exception: None,
             },
+            syntax: &[],
             extra_flows: &[],
         },
     ];
@@ -214,6 +216,7 @@ mod tests {
                     writeback: None,
                     exception: None,
                 },
+                syntax: &[],
                 extra_flows: &[],
             },
             InstDef {
@@ -230,6 +233,7 @@ mod tests {
                     writeback: None,
                     exception: None,
                 },
+                syntax: &[],
                 extra_flows: &[],
             },
         ];

@@ -62,6 +62,7 @@ mod os;
 mod state;
 mod stats;
 mod step;
+mod syntax;
 mod undo;
 
 pub use buildset::{
@@ -92,4 +93,5 @@ pub use os::{decode_syscall, nr, OsMark, OsState, SysCall};
 pub use state::{ArchState, NUM_GPR, NUM_SPR};
 pub use stats::{count_lines, count_macro_blocks, LineStats, SpecStats};
 pub use step::Step;
+pub use syntax::{Field, Slot, Suffix};
 pub use undo::{UndoLog, UndoMark, UndoRec};

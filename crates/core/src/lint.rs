@@ -123,6 +123,7 @@ mod tests {
             writeback: None,
             exception: None,
         },
+        syntax: &[],
         extra_flows: &[],
     }];
 
@@ -187,6 +188,7 @@ mod tests {
             bits: 0x0100_0000,
             operands: &[],
             actions: NO_ACTIONS,
+            syntax: &[],
             extra_flows: &[],
         },
         InstDef {
@@ -196,6 +198,7 @@ mod tests {
             bits: 0x0200_0000,
             operands: &[],
             actions: NO_ACTIONS,
+            syntax: &[],
             extra_flows: &[],
         },
         InstDef {
@@ -205,6 +208,7 @@ mod tests {
             bits: 0x0300_0000,
             operands: &[],
             actions: NO_ACTIONS,
+            syntax: &[],
             extra_flows: &[],
         },
     ];

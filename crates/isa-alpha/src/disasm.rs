@@ -1,50 +1,16 @@
-//! The Alpha disassembler — derived from the same instruction table.
+//! The Alpha disassembler — each word printed by the syntax its
+//! instruction-table entry declares.
 
-use crate::regs::reg_name;
-use crate::semantics::INSTS;
+use crate::asm::AlphaAsm;
 
 /// Renders one instruction word as assembly (for traces and debugging).
 pub fn disasm(word: u32, pc: u64) -> String {
-    let Some(def) = INSTS.iter().find(|d| d.matches(word)) else {
-        return format!(".word {word:#010x}");
-    };
-    let name = def.name;
-    let opc = word >> 26;
-    let ra = reg_name(((word >> 21) & 31) as u16);
-    let rb = reg_name(((word >> 16) & 31) as u16);
-    match opc {
-        0x00 => name.to_string(),
-        0x10..=0x13 => {
-            let rc = reg_name((word & 31) as u16);
-            if word & 0x1000 != 0 {
-                format!("{name} {ra}, {}, {rc}", (word >> 13) & 0xff)
-            } else {
-                format!("{name} {ra}, {rb}, {rc}")
-            }
-        }
-        0x08 | 0x09 | 0x0a | 0x0c | 0x0d | 0x0e | 0x28 | 0x29 | 0x2c | 0x2d => {
-            let disp = (word & 0xffff) as u16 as i16;
-            format!("{name} {ra}, {disp}({rb})")
-        }
-        0x1a => format!("{name} {ra}, ({rb})"),
-        0x30 | 0x34 => {
-            let disp = ((word & 0x1f_ffff) << 11) as i32 >> 11;
-            let target = pc.wrapping_add(4).wrapping_add((disp as i64 as u64) << 2);
-            format!("{name} {ra}, {target:#x}")
-        }
-        0x38..=0x3f => {
-            let disp = ((word & 0x1f_ffff) << 11) as i32 >> 11;
-            let target = pc.wrapping_add(4).wrapping_add((disp as i64 as u64) << 2);
-            format!("{name} {ra}, {target:#x}")
-        }
-        _ => format!("{name} ?"),
-    }
+    lis_asm::syntax::disasm(&AlphaAsm, word, pc)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::asm::AlphaAsm;
     use lis_asm::assemble;
 
     fn round(line: &str) -> String {

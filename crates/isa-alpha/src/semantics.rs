@@ -1,9 +1,10 @@
 //! The single specification of the Alpha (user-mode integer) instruction set.
 //!
 //! Everything the toolkit knows about Alpha instruction behaviour lives in
-//! this file, exactly once: encodings (mask/bits), operand declarations, and
-//! the per-step semantic actions. The assembler, the disassembler, and every
-//! derived interface are synthesized from the [`INSTS`] table.
+//! this file, exactly once: encodings (mask/bits), operand declarations,
+//! assembly syntax, and the per-step semantic actions. The assembler, the
+//! disassembler, and every derived interface are synthesized from the
+//! [`INSTS`] table.
 //!
 //! Formats (Alpha Architecture Handbook):
 //!
@@ -17,9 +18,9 @@
 
 use crate::regs::GPR;
 use lis_core::{
-    generic_operand_fetch, generic_writeback, step_actions, Exec, Fault, InstClass, InstDef,
-    OperandDir, OperandSpec, F_ALU_OUT, F_COND, F_DEST1, F_EFF_ADDR, F_IMM, F_MEM_DATA, F_SRC1,
-    F_SRC2, F_SRC3,
+    generic_operand_fetch, generic_writeback, step_actions, Exec, Fault, Field, InstClass, InstDef,
+    OperandDir, OperandSpec, Slot, F_ALU_OUT, F_COND, F_DEST1, F_EFF_ADDR, F_IMM, F_MEM_DATA,
+    F_SRC1, F_SRC2, F_SRC3,
 };
 
 /// Operate-format encoding mask (opcode + function code; the literal bit is
@@ -347,6 +348,22 @@ const OPS_CBR: &[OperandSpec] = &[RA_S];
 const OPS_BR: &[OperandSpec] = &[RA_D];
 const OPS_JMP: &[OperandSpec] = &[RA_D, RB_S];
 
+// Assembly syntax, one per format: `addq ra, rb|lit, rc`, `ldq ra, disp(rb)`,
+// `jmp [ra,] (rb)`, `br [ra,] target`, `beq ra, target`.
+const RA: Field = Field::new(21, 5);
+const RB: Field = Field::new(16, 5);
+const RC: Field = Field::new(0, 5);
+const OPERATE_B: Slot = Slot::RegOrLit { reg: RB, lit: Field::new(13, 8), flag: Field::new(12, 1) };
+const MEM_DISP: Slot = Slot::Disp { disp: Field::new(0, 16), base: RB, zero: 31, update: false };
+const BR_TARGET: Slot = Slot::Target { field: Field::new(0, 21), scale: 2, bias: 4, absolute: 0 };
+
+const SYN_OPERATE: &[Slot] = &[Slot::Reg(RA), OPERATE_B, Slot::Reg(RC)];
+const SYN_MEM: &[Slot] = &[Slot::Reg(RA), MEM_DISP];
+const SYN_JMP: &[Slot] = &[Slot::OptReg(RA, 31), Slot::Indirect(RB)];
+const SYN_BR: &[Slot] = &[Slot::OptReg(RA, 31), BR_TARGET];
+const SYN_BSR: &[Slot] = &[Slot::OptReg(RA, 26), BR_TARGET];
+const SYN_CBR: &[Slot] = &[Slot::Reg(RA), BR_TARGET];
+
 macro_rules! operate {
     ($name:literal, $op:expr, $func:expr, $ev:ident) => {
         InstDef {
@@ -355,6 +372,7 @@ macro_rules! operate {
             mask: OPERATE_MASK,
             bits: operate_bits($op, $func),
             operands: OPS_OPERATE,
+            syntax: SYN_OPERATE,
             actions: step_actions! {
                 decode: dec_operate,
                 operand_fetch: generic_operand_fetch,
@@ -374,6 +392,7 @@ macro_rules! load_inst {
             mask: MEM_MASK,
             bits: op_bits($op),
             operands: OPS_LOAD,
+            syntax: SYN_MEM,
             actions: step_actions! {
                 decode: dec_mem_load,
                 operand_fetch: generic_operand_fetch,
@@ -394,6 +413,7 @@ macro_rules! store_inst {
             mask: MEM_MASK,
             bits: op_bits($op),
             operands: OPS_STORE,
+            syntax: SYN_MEM,
             actions: step_actions! {
                 decode: dec_mem_store,
                 operand_fetch: generic_operand_fetch,
@@ -413,6 +433,7 @@ macro_rules! cbranch_inst {
             mask: MEM_MASK,
             bits: op_bits($op),
             operands: OPS_CBR,
+            syntax: SYN_CBR,
             actions: step_actions! {
                 decode: dec_cbranch,
                 operand_fetch: generic_operand_fetch,
@@ -432,6 +453,7 @@ pub const INSTS: &[InstDef] = &[
         mask: 0xffff_ffff,
         bits: 0x0000_0083,
         operands: &[],
+        syntax: &[],
         actions: step_actions! {
             decode: dec_callsys,
             operand_fetch: generic_operand_fetch,
@@ -446,6 +468,7 @@ pub const INSTS: &[InstDef] = &[
         mask: MEM_MASK,
         bits: op_bits(0x08),
         operands: OPS_LOAD,
+        syntax: SYN_MEM,
         actions: step_actions! {
             decode: dec_mem_load,
             operand_fetch: generic_operand_fetch,
@@ -460,6 +483,7 @@ pub const INSTS: &[InstDef] = &[
         mask: MEM_MASK,
         bits: op_bits(0x09),
         operands: OPS_LOAD,
+        syntax: SYN_MEM,
         actions: step_actions! {
             decode: dec_mem_load,
             operand_fetch: generic_operand_fetch,
@@ -530,6 +554,7 @@ pub const INSTS: &[InstDef] = &[
         mask: MEM_MASK,
         bits: op_bits(0x1a),
         operands: OPS_JMP,
+        syntax: SYN_JMP,
         actions: step_actions! {
             decode: dec_jump,
             operand_fetch: generic_operand_fetch,
@@ -545,6 +570,7 @@ pub const INSTS: &[InstDef] = &[
         mask: MEM_MASK,
         bits: op_bits(0x30),
         operands: OPS_BR,
+        syntax: SYN_BR,
         actions: step_actions! {
             decode: dec_br,
             evaluate: ev_br,
@@ -558,6 +584,7 @@ pub const INSTS: &[InstDef] = &[
         mask: MEM_MASK,
         bits: op_bits(0x34),
         operands: OPS_BR,
+        syntax: SYN_BSR,
         actions: step_actions! {
             decode: dec_br,
             evaluate: ev_br,

@@ -1,115 +1,35 @@
-//! The PowerPC disassembler — derived from the same instruction table.
+//! The PowerPC disassembler — each word printed by the syntax its
+//! instruction-table entry declares. This file prints the custom operands:
+//! the CR field and the SPR number.
 
-use crate::regs::reg_name;
-use crate::semantics::INSTS;
+use crate::asm::PpcAsm;
+use crate::regs::SPRS;
+use crate::semantics::{CRF, CR_FIELD, SPR, SPR_HI, SPR_LO};
+use lis_asm::Line;
+
+/// Prints PowerPC's custom operand slot `kind` of `word` into `line`.
+pub(crate) fn print_custom(kind: u8, word: u32, line: &mut Line) {
+    match kind {
+        CR_FIELD => line.operands.push(format!("cr{}", CRF.get(word))),
+        SPR => {
+            let n = SPR_LO.get(word) | SPR_HI.get(word) << SPR_LO.width;
+            match SPRS.iter().find(|spr| u32::from(spr.1) == n) {
+                Some(spr) => line.mnemonic = line.mnemonic.replace("spr", spr.0),
+                None => line.operands.push(n.to_string()),
+            }
+        }
+        _ => unreachable!("PowerPC declares no custom slot {kind}"),
+    }
+}
 
 /// Renders one instruction word as assembly.
 pub fn disasm(word: u32, pc: u64) -> String {
-    let Some(def) = INSTS.iter().find(|d| d.matches(word)) else {
-        return format!(".word {word:#010x}");
-    };
-    let name = def.name;
-    let rc = if word & 1 != 0 && (word >> 26) == 31 { "." } else { "" };
-    let rt = reg_name(((word >> 21) & 31) as u16);
-    let ra = reg_name(((word >> 16) & 31) as u16);
-    let rb = reg_name(((word >> 11) & 31) as u16);
-    let simm = (word & 0xffff) as u16 as i16;
-    match name {
-        "sc" => "sc".into(),
-        "addi" | "addis" | "addic" | "subfic" | "mulli" => {
-            format!("{name} {rt}, {ra}, {simm}")
-        }
-        "ori" | "oris" | "xori" | "xoris" | "andi." | "andis." => {
-            format!("{name} {ra}, {rt}, {}", word & 0xffff)
-        }
-        "cmpwi" | "cmplwi" => {
-            let crf = (word >> 23) & 7;
-            format!("{name} cr{crf}, {ra}, {simm}")
-        }
-        "cmpw" | "cmplw" => {
-            let crf = (word >> 23) & 7;
-            format!("{name} cr{crf}, {ra}, {rb}")
-        }
-        "rlwinm" | "rlwimi" => {
-            let sh = (word >> 11) & 31;
-            let mb = (word >> 6) & 31;
-            let me = (word >> 1) & 31;
-            format!("{name}{} {ra}, {rt}, {sh}, {mb}, {me}", if word & 1 != 0 { "." } else { "" })
-        }
-        "rlwnm" => {
-            let mb = (word >> 6) & 31;
-            let me = (word >> 1) & 31;
-            format!("rlwnm{} {ra}, {rt}, {rb}, {mb}, {me}", if word & 1 != 0 { "." } else { "" })
-        }
-        "b" => {
-            let off = ((word & 0x03ff_fffc) << 6) as i32 >> 6;
-            let target =
-                if word & 2 != 0 { off as i64 as u64 } else { pc.wrapping_add(off as i64 as u64) };
-            format!("b{} {target:#x}", if word & 1 != 0 { "l" } else { "" })
-        }
-        "bc" => {
-            let bo = (word >> 21) & 31;
-            let bi = (word >> 16) & 31;
-            let off = (word & 0xfffc) as u16 as i16 as i64;
-            let target = pc.wrapping_add(off as u64);
-            format!("bc{} {bo}, {bi}, {target:#x}", if word & 1 != 0 { "l" } else { "" })
-        }
-        "bclr" => format!("bclr {}, {}", (word >> 21) & 31, (word >> 16) & 31),
-        "bcctr" => format!("bcctr {}, {}", (word >> 21) & 31, (word >> 16) & 31),
-        "mfspr" | "mtspr" => {
-            let spr = ((word >> 16) & 0x1f) | (((word >> 11) & 0x1f) << 5);
-            let sname = match spr {
-                1 => "xer",
-                8 => "lr",
-                9 => "ctr",
-                _ => "?",
-            };
-            if name == "mfspr" {
-                format!("mf{sname} {rt}")
-            } else {
-                format!("mt{sname} {rt}")
-            }
-        }
-        "mfcr" => format!("mfcr {rt}"),
-        "neg" | "addze" => format!("{name}{rc} {rt}, {ra}"),
-        "extsb" | "extsh" | "cntlzw" => format!("{name}{rc} {ra}, {rt}"),
-        "srawi" => format!("srawi {ra}, {rt}, {}", (word >> 11) & 31),
-        // loads/stores
-        _ if def.class == lis_core::InstClass::Load || def.class == lis_core::InstClass::Store => {
-            if (word >> 26) == 31 {
-                format!("{name} {rt}, {ra}, {rb}")
-            } else {
-                format!("{name} {rt}, {simm}({ra})")
-            }
-        }
-        // X-form logical / XO arithmetic
-        _ => {
-            if matches!(
-                name,
-                "and"
-                    | "or"
-                    | "xor"
-                    | "nand"
-                    | "nor"
-                    | "andc"
-                    | "orc"
-                    | "eqv"
-                    | "slw"
-                    | "srw"
-                    | "sraw"
-            ) {
-                format!("{name}{rc} {ra}, {rt}, {rb}")
-            } else {
-                format!("{name}{rc} {rt}, {ra}, {rb}")
-            }
-        }
-    }
+    lis_asm::syntax::disasm(&PpcAsm, word, pc)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::asm::PpcAsm;
     use lis_asm::assemble;
 
     fn round(line: &str) -> String {

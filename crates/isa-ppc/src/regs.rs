@@ -81,7 +81,11 @@ pub const REG_CLASSES: &[RegClassDef] = &[
     },
 ];
 
-/// Parses a register name (already lower-cased): `rN` or `crN`.
+/// The special-purpose registers `mfspr`/`mtspr` reach: name, SPR number,
+/// and register class.
+pub const SPRS: &[(&str, u16, RegClass)] = &[("xer", 1, XER), ("lr", 8, LR), ("ctr", 9, CTR)];
+
+/// Parses a general-register name (already lower-cased): `rN` or `sp`.
 pub fn parse_reg(name: &str) -> Option<u16> {
     if name == "sp" {
         return Some(1);

@@ -205,6 +205,7 @@ const INSTS: &[InstDef] = &[
             evaluate: ev_addi,
             writeback: generic_writeback,
         },
+        syntax: &[],
         extra_flows: &[],
     },
     InstDef {
@@ -219,6 +220,7 @@ const INSTS: &[InstDef] = &[
             evaluate: ev_add,
             writeback: generic_writeback,
         },
+        syntax: &[],
         extra_flows: &[],
     },
     InstDef {
@@ -233,6 +235,7 @@ const INSTS: &[InstDef] = &[
             evaluate: ev_mul,
             writeback: generic_writeback,
         },
+        syntax: &[],
         extra_flows: &[],
     },
     InstDef {
@@ -248,6 +251,7 @@ const INSTS: &[InstDef] = &[
             memory: mem_load,
             writeback: generic_writeback,
         },
+        syntax: &[],
         extra_flows: &[],
     },
     InstDef {
@@ -262,6 +266,7 @@ const INSTS: &[InstDef] = &[
             evaluate: ev_ea,
             memory: mem_store,
         },
+        syntax: &[],
         extra_flows: &[],
     },
     InstDef {
@@ -275,6 +280,7 @@ const INSTS: &[InstDef] = &[
             operand_fetch: generic_operand_fetch,
             evaluate: ev_beq,
         },
+        syntax: &[],
         extra_flows: &[],
     },
     InstDef {
@@ -288,6 +294,7 @@ const INSTS: &[InstDef] = &[
             operand_fetch: generic_operand_fetch,
             evaluate: ev_bne,
         },
+        syntax: &[],
         extra_flows: &[],
     },
     InstDef {
@@ -300,6 +307,7 @@ const INSTS: &[InstDef] = &[
             decode: dec_jmp,
             evaluate: ev_jmp,
         },
+        syntax: &[],
         extra_flows: &[],
     },
     InstDef {
@@ -313,6 +321,7 @@ const INSTS: &[InstDef] = &[
             operand_fetch: generic_operand_fetch,
             exception: ex_sys,
         },
+        syntax: &[],
         extra_flows: &[],
     },
 ];

@@ -532,6 +532,7 @@ fn analyzer_preflight_gates_simulator_build() {
         bits: 0x0100_0000,
         operands: &[],
         actions: StepActions { exception: Some(act), ..StepActions::NONE },
+        syntax: &[],
         extra_flows: &[],
     }];
     static SPEC: IsaSpec = IsaSpec {
