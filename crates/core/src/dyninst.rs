@@ -115,6 +115,23 @@ impl DynInst {
         }
     }
 
+    /// Publishes one field value: a decoder filling the record without a
+    /// working frame calls this after [`DynInst::publish_header`].
+    #[inline]
+    pub fn set_field(&mut self, id: FieldId, v: u64) {
+        self.fields[id.index()] = v;
+        self.fields_valid = self.fields_valid.with(id);
+    }
+
+    /// Publishes the operand identifiers, or marks them unpublished.
+    #[inline]
+    pub fn set_operands(&mut self, ops: Option<Operands>) {
+        if let Some(ops) = ops {
+            self.ops = ops;
+        }
+        self.ops_valid = ops.is_some();
+    }
+
     /// Reloads the published fields back into a working frame — used at
     /// step-level call boundaries, where the record is the only channel
     /// carrying values between interface calls.
@@ -190,6 +207,26 @@ mod tests {
         ops2.push_src(RegClass(0), 1);
         di.reload(&mut frame2, &mut ops2);
         assert_eq!(ops2.n_srcs(), 0);
+    }
+
+    #[test]
+    fn set_field_and_operands_publish_like_a_frame() {
+        let mut frame = Frame::new();
+        frame.set(F_EFF_ADDR, 0x2000);
+        let mut ops = Operands::new();
+        ops.push_dest(RegClass(0), 4);
+        let mut published = DynInst::new();
+        published.publish(&frame, FieldSet::ALL, &ops, true);
+
+        let mut di = DynInst::new();
+        di.publish_header(InstHeader::default(), None);
+        di.set_field(F_EFF_ADDR, 0x2000);
+        di.set_operands(Some(ops));
+        assert_eq!(di.fields_valid(), published.fields_valid());
+        assert_eq!(di.field(F_EFF_ADDR), Some(0x2000));
+        assert_eq!(di.operands(), published.operands());
+        di.set_operands(None);
+        assert!(di.operands().is_none());
     }
 
     #[test]

@@ -16,10 +16,12 @@
 //! * **Record** — [`record`] hooks the engine's retirement path
 //!   ([`Simulator::run_with_sink`](lis_runtime::Simulator::run_with_sink))
 //!   and streams every published record through [`TraceWriter`].
-//! * **Read** — [`TraceReader`] streams chunk-at-a-time with integrity
-//!   verification; [`Trace`] loads a file for random chunk access;
-//!   every decoder is hostile-input-safe (typed [`TraceError`]s, never a
-//!   panic).
+//! * **Read** — [`Trace`] loads a file, verifying every CRC, and keeps
+//!   the chunks encoded for random access; each record decodes straight
+//!   into a reused [`DynInst`](lis_core::DynInst), projected as it goes,
+//!   and [`TraceRecord`] is the owned, comparable copy for tests and
+//!   checkers. Every decoder is hostile-input-safe (typed
+//!   [`TraceError`]s, never a panic).
 //! * **Replay** — [`replay_ooo`] drives the same [`OooCore`] consumer the
 //!   execute-driven frontend uses, so single-shard replay is bit-identical
 //!   to live simulation; sharded replay splits chunks across threads with
@@ -46,7 +48,7 @@ pub const VERSION: u32 = 2;
 
 pub use error::{RecordError, TraceError};
 pub use format::{TraceFooter, TraceMeta, CHUNK_TARGET, MAGIC, MAX_PAYLOAD};
-pub use reader::{decode_chunk, Trace, TraceInfo, TraceReader};
+pub use reader::{decode_chunk, Trace, TraceInfo};
 pub use record::TraceRecord;
 pub use recorder::{meta_for, record, RecordOptions, RecordSummary};
 pub use replay::{replay_ooo, ReplayConfig};

@@ -1,31 +1,36 @@
-//! Streaming and in-memory trace readers.
+//! The in-memory trace reader and the chunk decoder.
 
 use crate::error::TraceError;
 use crate::format::{
     read_frame, TraceFooter, TraceMeta, KIND_DATA, KIND_FOOTER, KIND_HEADER, MAGIC,
 };
-use crate::record::TraceRecord;
+use crate::record::{decode, TraceRecord};
 use crate::wire::Cursor;
-use lis_core::Visibility;
+use lis_core::{DynInst, Visibility};
 use std::io::Read;
 
-/// Decodes the records of one chunk payload.
+/// Decodes the `ninsts` records of one chunk payload, one at a time, into
+/// `di`, projected to `vis`, and hands each to `f`. Nothing is allocated:
+/// every record reuses `di`.
 ///
 /// # Errors
 ///
-/// [`TraceError::Corrupt`] when the payload decodes to a different number of
-/// records than the frame declared, or on any malformed record.
-pub fn decode_chunk(
+/// [`TraceError::Corrupt`] when the payload holds more bytes than the
+/// declared records, [`TraceError::Truncated`] when it holds fewer, or on
+/// any malformed record. Records before the bad one have been handed out.
+pub(crate) fn decode_each(
     payload: &[u8],
     ninsts: u32,
-    out: &mut Vec<TraceRecord>,
+    vis: Visibility,
+    di: &mut DynInst,
+    mut f: impl FnMut(&DynInst),
 ) -> Result<(), TraceError> {
     let mut cur = Cursor::new(payload);
     let mut prev_next_pc = 0u64;
     for _ in 0..ninsts {
-        let rec = TraceRecord::decode(&mut cur, prev_next_pc)?;
-        prev_next_pc = rec.header.next_pc;
-        out.push(rec);
+        decode(&mut cur, prev_next_pc, vis, di)?;
+        prev_next_pc = di.header.next_pc;
+        f(di);
     }
     if !cur.at_end() {
         return Err(TraceError::Corrupt("chunk has trailing bytes after last record"));
@@ -33,92 +38,22 @@ pub fn decode_chunk(
     Ok(())
 }
 
-/// A chunk-at-a-time streaming reader.
+/// Decodes the records of one chunk payload, appending them to `out` as
+/// owned [`TraceRecord`]s.
 ///
-/// Construction consumes and validates the magic, version, and header;
-/// [`TraceReader::next_chunk`] then yields one chunk of records at a time,
-/// verifying each frame's CRC, until the footer is reached.
-#[derive(Debug)]
-pub struct TraceReader<R: Read> {
-    r: R,
-    meta: TraceMeta,
-    footer: Option<TraceFooter>,
-    frames_read: usize,
-    records_read: u64,
-}
-
-impl<R: Read> TraceReader<R> {
-    /// Opens a trace stream.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceError::BadMagic`], [`TraceError::UnsupportedVersion`], or any
-    /// header decode failure.
-    pub fn open(mut r: R) -> Result<TraceReader<R>, TraceError> {
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic).map_err(|_| TraceError::BadMagic)?;
-        if &magic != MAGIC {
-            return Err(TraceError::BadMagic);
-        }
-        let mut ver = [0u8; 4];
-        r.read_exact(&mut ver).map_err(|_| TraceError::Truncated)?;
-        let version = u32::from_le_bytes(ver);
-        if version != crate::VERSION {
-            return Err(TraceError::UnsupportedVersion(version));
-        }
-        let frame = read_frame(&mut r, 0)?.ok_or(TraceError::Truncated)?;
-        if frame.kind != KIND_HEADER {
-            return Err(TraceError::Corrupt("first frame is not a header"));
-        }
-        let meta = TraceMeta::decode(&frame.payload)?;
-        Ok(TraceReader { r, meta, footer: None, frames_read: 1, records_read: 0 })
-    }
-
-    /// The trace header.
-    pub fn meta(&self) -> &TraceMeta {
-        &self.meta
-    }
-
-    /// The footer — available once [`TraceReader::next_chunk`] has returned
-    /// `Ok(None)`.
-    pub fn footer(&self) -> Option<&TraceFooter> {
-        self.footer.as_ref()
-    }
-
-    /// Reads and decodes the next data chunk into `out` (which is cleared
-    /// first). Returns the number of records, or `None` after the footer.
-    ///
-    /// # Errors
-    ///
-    /// Any integrity or decode failure; [`TraceError::Truncated`] when the
-    /// stream ends before a footer frame.
-    pub fn next_chunk(&mut self, out: &mut Vec<TraceRecord>) -> Result<Option<usize>, TraceError> {
-        out.clear();
-        if self.footer.is_some() {
-            return Ok(None);
-        }
-        let Some(frame) = read_frame(&mut self.r, self.frames_read)? else {
-            // EOF without a footer: the file was cut off at a frame boundary.
-            return Err(TraceError::Truncated);
-        };
-        self.frames_read += 1;
-        match frame.kind {
-            KIND_DATA => {
-                decode_chunk(&frame.payload, frame.ninsts, out)?;
-                self.records_read += u64::from(frame.ninsts);
-                Ok(Some(out.len()))
-            }
-            KIND_FOOTER => {
-                let footer = TraceFooter::decode(&frame.payload)?;
-                if footer.insts != self.records_read {
-                    return Err(TraceError::Corrupt("footer record count disagrees with chunks"));
-                }
-                self.footer = Some(footer);
-                Ok(None)
-            }
-            _ => Err(TraceError::Corrupt("unexpected extra header frame")),
-        }
-    }
+/// # Errors
+///
+/// [`TraceError::Corrupt`] when the payload holds bytes past the declared
+/// records or a malformed record, [`TraceError::Truncated`] when it ends
+/// before them. Records before the bad one have been appended.
+pub fn decode_chunk(
+    payload: &[u8],
+    ninsts: u32,
+    out: &mut Vec<TraceRecord>,
+) -> Result<(), TraceError> {
+    decode_each(payload, ninsts, Visibility::ALL, &mut DynInst::new(), |di| {
+        out.push(TraceRecord::from_dyninst(di));
+    })
 }
 
 /// A fully loaded trace: header, raw (CRC-verified) chunk payloads, footer.
@@ -141,9 +76,10 @@ impl Trace {
     ///
     /// # Errors
     ///
-    /// See [`TraceReader::open`] and [`TraceReader::next_chunk`].
+    /// [`TraceError::BadMagic`] or [`TraceError::UnsupportedVersion`] on a
+    /// foreign file; [`TraceError::Truncated`] when the stream ends before
+    /// the footer; CRC, frame and header/footer decode failures.
     pub fn read_from(mut r: impl Read) -> Result<Trace, TraceError> {
-        // Stream frames directly so payloads are moved, not re-decoded.
         let mut magic = [0u8; 8];
         r.read_exact(&mut magic).map_err(|_| TraceError::BadMagic)?;
         if &magic != MAGIC {
@@ -193,20 +129,22 @@ impl Trace {
     }
 
     /// Decodes every record, optionally projecting to a lower visibility.
+    /// The result grows with the records decoded, never with the counts the
+    /// file claims.
     ///
     /// # Errors
     ///
-    /// [`TraceError::Corrupt`] on a malformed chunk (possible only if the
-    /// trace was built by hand — `read_from` already verified CRCs).
+    /// [`TraceError::Corrupt`] or [`TraceError::Truncated`] on a malformed
+    /// chunk (possible only if the trace was built by hand — `read_from`
+    /// already verified CRCs).
     pub fn records(&self, project: Option<Visibility>) -> Result<Vec<TraceRecord>, TraceError> {
-        let mut out = Vec::with_capacity(self.footer.insts as usize);
+        let vis = project.unwrap_or(Visibility::ALL);
+        let mut out = Vec::new();
+        let mut di = DynInst::new();
         for (payload, ninsts) in &self.chunks {
-            decode_chunk(payload, *ninsts, &mut out)?;
-        }
-        if let Some(vis) = project {
-            for rec in &mut out {
-                *rec = rec.project(vis);
-            }
+            decode_each(payload, *ninsts, vis, &mut di, |di| {
+                out.push(TraceRecord::from_dyninst(di));
+            })?;
         }
         Ok(out)
     }
@@ -237,8 +175,12 @@ impl TraceInfo {
         let trace = Trace::read_from(r)?;
         let data_bytes = trace.chunks.iter().map(|(p, _)| p.len() as u64).sum();
         // Decode everything: `info` certifies the trace is fully readable,
-        // not just CRC-clean.
-        trace.records(None)?;
+        // not just CRC-clean. Every byte is still checked at `MIN`, which
+        // only skips storing the fields and operands.
+        let mut di = DynInst::new();
+        for (payload, ninsts) in &trace.chunks {
+            decode_each(payload, *ninsts, Visibility::MIN, &mut di, |_| {})?;
+        }
         Ok(TraceInfo {
             chunks: trace.chunks.len(),
             data_bytes,

@@ -1,10 +1,11 @@
-//! The owned trace record and its wire codec.
+//! The record wire codec, and the owned record that tests compare.
 //!
-//! [`TraceRecord`] is the serializable twin of [`DynInst`]: the same
-//! header/fault/fields/operands payload, but with public storage and
-//! structural equality so traces can be compared, projected, and
-//! re-encoded. Conversion in both directions is lossless for everything an
-//! interface publishes.
+//! [`encode`] writes one published [`DynInst`]; [`decode`] parses one
+//! record straight into a reused [`DynInst`], projecting it to a
+//! visibility as it goes. They are the trace's only record codec: the
+//! writer, replay and the integrity scan call them directly, and
+//! [`TraceRecord`] — the serializable, comparable twin of [`DynInst`] that
+//! tests and checkers hold in `Vec`s — goes through them too.
 //!
 //! ## Wire encoding (one record)
 //!
@@ -29,7 +30,7 @@
 use crate::error::TraceError;
 use crate::wire::{put_iv, put_uv, Cursor};
 use lis_core::{
-    DynInst, Fault, FieldId, FieldSet, Frame, InstHeader, Operands, RegClass, Visibility, MAX_DEST,
+    DynInst, Fault, FieldId, FieldSet, InstHeader, Operands, RegClass, Visibility, MAX_DEST,
     MAX_FIELDS, MAX_SRC,
 };
 
@@ -39,6 +40,133 @@ const FLAG_PC_SEQ: u8 = 1 << 2;
 const FLAG_NEXT_SEQ: u8 = 1 << 3;
 const FLAG_PHYS_EQ: u8 = 1 << 4;
 const FLAG_KNOWN: u8 = FLAG_FAULT | FLAG_OPS | FLAG_PC_SEQ | FLAG_NEXT_SEQ | FLAG_PHYS_EQ;
+
+/// Appends the wire encoding of one published record. `prev_next_pc` is
+/// the previous record's `next_pc` in the same chunk (0 at a chunk start).
+pub(crate) fn encode(di: &DynInst, out: &mut Vec<u8>, prev_next_pc: u64) {
+    let h = &di.header;
+    let ops = di.operands();
+    let mut flags = 0u8;
+    if di.fault.is_some() {
+        flags |= FLAG_FAULT;
+    }
+    if ops.is_some() {
+        flags |= FLAG_OPS;
+    }
+    if h.pc == prev_next_pc {
+        flags |= FLAG_PC_SEQ;
+    }
+    if h.next_pc == h.pc.wrapping_add(4) {
+        flags |= FLAG_NEXT_SEQ;
+    }
+    if h.phys_pc == h.pc {
+        flags |= FLAG_PHYS_EQ;
+    }
+    out.push(flags);
+    if flags & FLAG_PC_SEQ == 0 {
+        put_iv(out, h.pc.wrapping_sub(prev_next_pc) as i64);
+    }
+    if flags & FLAG_PHYS_EQ == 0 {
+        put_iv(out, h.phys_pc.wrapping_sub(h.pc) as i64);
+    }
+    put_uv(out, u64::from(h.instr_bits));
+    if flags & FLAG_NEXT_SEQ == 0 {
+        put_iv(out, h.next_pc.wrapping_sub(h.pc.wrapping_add(4)) as i64);
+    }
+    let mask = di.fields_valid();
+    put_uv(out, mask.0);
+    for id in mask.iter() {
+        put_uv(out, di.field(id).unwrap_or(0));
+    }
+    if let Some(ops) = ops {
+        debug_assert!(ops.n_srcs() <= MAX_SRC && ops.n_dests() <= MAX_DEST);
+        out.push((ops.n_srcs() as u8) | ((ops.n_dests() as u8) << 4));
+        for r in ops.srcs().iter().chain(ops.dests()) {
+            out.push(r.class);
+            put_uv(out, u64::from(r.index));
+        }
+    }
+    if let Some(fault) = di.fault {
+        encode_fault(out, fault);
+    }
+}
+
+/// Decodes one record into `di`, advancing `cur`. `prev_next_pc` mirrors
+/// [`encode`].
+///
+/// Every byte is parsed and checked, hidden fields and operands included;
+/// only what `vis` hides is not stored, so `di` ends up holding the record
+/// projected to `vis` (the header and fault always survive). On an error
+/// `di` is left partly written.
+///
+/// # Errors
+///
+/// [`TraceError::Truncated`] or [`TraceError::Corrupt`] on any byte
+/// stream that could not have been produced by the encoder.
+pub(crate) fn decode(
+    cur: &mut Cursor<'_>,
+    prev_next_pc: u64,
+    vis: Visibility,
+    di: &mut DynInst,
+) -> Result<(), TraceError> {
+    let flags = cur.u8()?;
+    if flags & !FLAG_KNOWN != 0 {
+        return Err(TraceError::Corrupt("unknown record flags"));
+    }
+    let pc = if flags & FLAG_PC_SEQ != 0 {
+        prev_next_pc
+    } else {
+        prev_next_pc.wrapping_add(cur.iv()? as u64)
+    };
+    let phys_pc = if flags & FLAG_PHYS_EQ != 0 { pc } else { pc.wrapping_add(cur.iv()? as u64) };
+    let bits = cur.uv()?;
+    if bits > u64::from(u32::MAX) {
+        return Err(TraceError::Corrupt("instruction bits exceed 32 bits"));
+    }
+    let next_pc = if flags & FLAG_NEXT_SEQ != 0 {
+        pc.wrapping_add(4)
+    } else {
+        pc.wrapping_add(4).wrapping_add(cur.iv()? as u64)
+    };
+    di.publish_header(InstHeader { pc, phys_pc, instr_bits: bits as u32, next_pc }, None);
+    let mask = cur.uv()?;
+    if mask & !FieldSet::ALL.0 != 0 {
+        return Err(TraceError::Corrupt("field mask has bits beyond MAX_FIELDS"));
+    }
+    for id in FieldSet(mask).iter() {
+        let v = cur.uv()?;
+        if vis.fields.contains(id) {
+            di.set_field(id, v);
+        }
+    }
+    if flags & FLAG_OPS != 0 {
+        let counts = cur.u8()?;
+        let (nsrc, ndest) = ((counts & 0x0f) as usize, (counts >> 4) as usize);
+        if nsrc > MAX_SRC || ndest > MAX_DEST {
+            return Err(TraceError::Corrupt("operand count out of range"));
+        }
+        let mut ops = Operands::new();
+        for i in 0..nsrc + ndest {
+            let class = cur.u8()?;
+            let index = cur.uv()?;
+            if index > u64::from(u16::MAX) {
+                return Err(TraceError::Corrupt("operand index exceeds u16"));
+            }
+            if i < nsrc {
+                ops.push_src(RegClass(class), index as u16);
+            } else {
+                ops.push_dest(RegClass(class), index as u16);
+            }
+        }
+        if vis.operand_ids {
+            di.set_operands(Some(ops));
+        }
+    }
+    if flags & FLAG_FAULT != 0 {
+        di.fault = Some(decode_fault(cur)?);
+    }
+    Ok(())
+}
 
 /// One recorded dynamic-instruction record, owned and comparable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,15 +213,12 @@ impl TraceRecord {
 
     /// Rebuilds the [`DynInst`] a consumer would have received.
     pub fn to_dyninst(&self) -> DynInst {
-        let mut frame = Frame::new();
-        for id in self.fields_valid.iter() {
-            frame.set(id, self.fields[id.index()]);
-        }
-        let ops = self.ops.unwrap_or_default();
         let mut di = DynInst::new();
-        di.header = self.header;
-        di.fault = self.fault;
-        di.publish(&frame, self.fields_valid, &ops, self.ops.is_some());
+        di.publish_header(self.header, self.fault);
+        for id in self.fields_valid.iter() {
+            di.set_field(id, self.fields[id.index()]);
+        }
+        di.set_operands(self.ops);
         di
     }
 
@@ -122,49 +247,7 @@ impl TraceRecord {
     /// Appends this record's wire encoding. `prev_next_pc` is the previous
     /// record's `next_pc` in the same chunk (0 at a chunk start).
     pub fn encode(&self, out: &mut Vec<u8>, prev_next_pc: u64) {
-        let h = &self.header;
-        let mut flags = 0u8;
-        if self.fault.is_some() {
-            flags |= FLAG_FAULT;
-        }
-        if self.ops.is_some() {
-            flags |= FLAG_OPS;
-        }
-        if h.pc == prev_next_pc {
-            flags |= FLAG_PC_SEQ;
-        }
-        if h.next_pc == h.pc.wrapping_add(4) {
-            flags |= FLAG_NEXT_SEQ;
-        }
-        if h.phys_pc == h.pc {
-            flags |= FLAG_PHYS_EQ;
-        }
-        out.push(flags);
-        if flags & FLAG_PC_SEQ == 0 {
-            put_iv(out, h.pc.wrapping_sub(prev_next_pc) as i64);
-        }
-        if flags & FLAG_PHYS_EQ == 0 {
-            put_iv(out, h.phys_pc.wrapping_sub(h.pc) as i64);
-        }
-        put_uv(out, u64::from(h.instr_bits));
-        if flags & FLAG_NEXT_SEQ == 0 {
-            put_iv(out, h.next_pc.wrapping_sub(h.pc.wrapping_add(4)) as i64);
-        }
-        put_uv(out, self.fields_valid.0);
-        for id in self.fields_valid.iter() {
-            put_uv(out, self.fields[id.index()]);
-        }
-        if let Some(ops) = &self.ops {
-            debug_assert!(ops.n_srcs() <= MAX_SRC && ops.n_dests() <= MAX_DEST);
-            out.push((ops.n_srcs() as u8) | ((ops.n_dests() as u8) << 4));
-            for r in ops.srcs().iter().chain(ops.dests()) {
-                out.push(r.class);
-                put_uv(out, u64::from(r.index));
-            }
-        }
-        if let Some(fault) = self.fault {
-            encode_fault(out, fault);
-        }
+        encode(&self.to_dyninst(), out, prev_next_pc);
     }
 
     /// Decodes one record, advancing `cur`. `prev_next_pc` mirrors
@@ -175,66 +258,9 @@ impl TraceRecord {
     /// [`TraceError::Truncated`] or [`TraceError::Corrupt`] on any byte
     /// stream that could not have been produced by the encoder.
     pub fn decode(cur: &mut Cursor<'_>, prev_next_pc: u64) -> Result<TraceRecord, TraceError> {
-        let flags = cur.u8()?;
-        if flags & !FLAG_KNOWN != 0 {
-            return Err(TraceError::Corrupt("unknown record flags"));
-        }
-        let pc = if flags & FLAG_PC_SEQ != 0 {
-            prev_next_pc
-        } else {
-            prev_next_pc.wrapping_add(cur.iv()? as u64)
-        };
-        let phys_pc =
-            if flags & FLAG_PHYS_EQ != 0 { pc } else { pc.wrapping_add(cur.iv()? as u64) };
-        let bits = cur.uv()?;
-        if bits > u64::from(u32::MAX) {
-            return Err(TraceError::Corrupt("instruction bits exceed 32 bits"));
-        }
-        let next_pc = if flags & FLAG_NEXT_SEQ != 0 {
-            pc.wrapping_add(4)
-        } else {
-            pc.wrapping_add(4).wrapping_add(cur.iv()? as u64)
-        };
-        let mask = cur.uv()?;
-        if mask & !FieldSet::ALL.0 != 0 {
-            return Err(TraceError::Corrupt("field mask has bits beyond MAX_FIELDS"));
-        }
-        let fields_valid = FieldSet(mask);
-        let mut fields = [0u64; MAX_FIELDS];
-        for id in fields_valid.iter() {
-            fields[id.index()] = cur.uv()?;
-        }
-        let ops = if flags & FLAG_OPS != 0 {
-            let counts = cur.u8()?;
-            let (nsrc, ndest) = ((counts & 0x0f) as usize, (counts >> 4) as usize);
-            if nsrc > MAX_SRC || ndest > MAX_DEST {
-                return Err(TraceError::Corrupt("operand count out of range"));
-            }
-            let mut ops = Operands::new();
-            for i in 0..nsrc + ndest {
-                let class = cur.u8()?;
-                let index = cur.uv()?;
-                if index > u64::from(u16::MAX) {
-                    return Err(TraceError::Corrupt("operand index exceeds u16"));
-                }
-                if i < nsrc {
-                    ops.push_src(RegClass(class), index as u16);
-                } else {
-                    ops.push_dest(RegClass(class), index as u16);
-                }
-            }
-            Some(ops)
-        } else {
-            None
-        };
-        let fault = if flags & FLAG_FAULT != 0 { Some(decode_fault(cur)?) } else { None };
-        Ok(TraceRecord {
-            header: InstHeader { pc, phys_pc, instr_bits: bits as u32, next_pc },
-            fault,
-            fields,
-            fields_valid,
-            ops,
-        })
+        let mut di = DynInst::new();
+        decode(cur, prev_next_pc, Visibility::ALL, &mut di)?;
+        Ok(TraceRecord::from_dyninst(&di))
     }
 
     /// Reads a field value, mirroring [`DynInst::field`].
@@ -396,6 +422,66 @@ mod tests {
             rec.encode(&mut buf, 0);
             let back = TraceRecord::decode(&mut Cursor::new(&buf), 0).unwrap();
             assert_eq!(back.fault, Some(fault));
+        }
+    }
+
+    #[test]
+    fn projected_decode_is_decode_then_project() {
+        let mut faulting = sample();
+        faulting.fault = Some(Fault::Unaligned { addr: 3 });
+        for rec in [sample(), faulting] {
+            let mut buf = Vec::new();
+            rec.encode(&mut buf, 0);
+            for vis in [Visibility::ALL, Visibility::DECODE, Visibility::MIN] {
+                let mut di = DynInst::new();
+                let mut cur = Cursor::new(&buf);
+                decode(&mut cur, 0, vis, &mut di).unwrap();
+                assert!(cur.at_end(), "hidden bytes are consumed");
+                assert_eq!(TraceRecord::from_dyninst(&di), rec.project(vis));
+            }
+        }
+    }
+
+    #[test]
+    fn reused_dyninst_keeps_nothing_from_the_previous_record() {
+        let mut buf = Vec::new();
+        sample().encode(&mut buf, 0);
+        let bare = TraceRecord { header: sample().header, ..Default::default() };
+        bare.encode(&mut buf, 0);
+        let mut cur = Cursor::new(&buf);
+        let mut di = DynInst::new();
+        decode(&mut cur, 0, Visibility::ALL, &mut di).unwrap();
+        decode(&mut cur, 0, Visibility::ALL, &mut di).unwrap();
+        assert_eq!(TraceRecord::from_dyninst(&di), bare);
+    }
+
+    #[test]
+    fn hidden_fields_and_operands_are_still_checked() {
+        // Min visibility stores neither, but a truncated field value or an
+        // oversized operand index is the same error as at full visibility.
+        let mut buf = Vec::new();
+        sample().encode(&mut buf, 0);
+        let mut di = DynInst::new();
+        for cut in 1..buf.len() {
+            let full = decode(&mut Cursor::new(&buf[..cut]), 0, Visibility::ALL, &mut di);
+            let min = decode(&mut Cursor::new(&buf[..cut]), 0, Visibility::MIN, &mut di);
+            assert!(matches!(full, Err(TraceError::Truncated)), "cut {cut}");
+            assert!(matches!(min, Err(TraceError::Truncated)), "cut {cut}");
+        }
+        let mut rec = sample();
+        let mut ops = Operands::new();
+        ops.push_src(RegClass(0), u16::MAX);
+        rec.ops = Some(ops);
+        let mut buf = Vec::new();
+        rec.encode(&mut buf, 0);
+        // The index varint of u16::MAX is the last three bytes; bump it past u16.
+        let n = buf.len();
+        buf[n - 1] = 0x07;
+        for vis in [Visibility::ALL, Visibility::MIN] {
+            assert!(matches!(
+                decode(&mut Cursor::new(&buf), 0, vis, &mut di),
+                Err(TraceError::Corrupt("operand index exceeds u16"))
+            ));
         }
     }
 

@@ -11,9 +11,8 @@
 //! approximation of the full prefix state.
 
 use crate::error::TraceError;
-use crate::reader::{decode_chunk, Trace};
-use crate::record::TraceRecord;
-use lis_core::{IsaSpec, Visibility};
+use crate::reader::{decode_each, Trace};
+use lis_core::{DynInst, IsaSpec, Visibility};
 use lis_timing::{CoreConfig, OooConfig, OooCore, TimingReport};
 
 /// Options for one replay.
@@ -27,8 +26,10 @@ pub struct ReplayConfig {
     pub core: CoreConfig,
     /// Out-of-order parameters.
     pub ooo: OooConfig,
-    /// Visibility projection applied to records before feeding the core.
-    /// Default [`Visibility::DECODE`] — what the execute-driven
+    /// The visibility records are decoded at. Fields and operand
+    /// identifiers it hides are parsed and checked but never stored, so the
+    /// core is fed the records a direct recording at this visibility would
+    /// hold. Default [`Visibility::DECODE`] — what the execute-driven
     /// functional-first consumer sees.
     pub projection: Visibility,
 }
@@ -46,7 +47,9 @@ impl Default for ReplayConfig {
 }
 
 /// Feeds the chunk range `[from, to)` of `trace` into a fresh core;
-/// measurement starts after the `warmup` chunks preceding `from`.
+/// measurement starts after the `warmup` chunks preceding `from`. Each
+/// record is decoded, already projected, into the one `DynInst` the core
+/// is fed from.
 fn run_shard(
     spec: &'static IsaSpec,
     trace: &Trace,
@@ -56,24 +59,25 @@ fn run_shard(
 ) -> Result<TimingReport, TraceError> {
     let mut core = OooCore::new(spec, &cfg.core, &cfg.ooo);
     let warm_from = from.saturating_sub(cfg.warmup_chunks);
+    let mut di = DynInst::new();
     let mut measuring = false;
-    let mut buf: Vec<TraceRecord> = Vec::new();
     for (i, (payload, ninsts)) in trace.chunks[warm_from..to].iter().enumerate() {
         if warm_from + i == from {
             core.mark_measurement_start();
             measuring = true;
         }
-        decode_chunk(payload, *ninsts, &mut buf)?;
-        for rec in buf.drain(..) {
-            let di = rec.project(cfg.projection).to_dyninst();
-            // A recorded fault ends the stream; the shard's report covers
-            // everything measured up to it, same as the execute-driven run.
-            if core.feed(&di).is_err() {
-                if !measuring {
-                    core.mark_measurement_start();
-                }
-                return Ok(core.report("trace-ooo"));
+        // A recorded fault ends the stream; the shard's report covers
+        // everything measured up to it, same as the execute-driven run.
+        // The rest of the faulting chunk is still decoded and checked.
+        let mut faulted = false;
+        decode_each(payload, *ninsts, cfg.projection, &mut di, |di| {
+            faulted = faulted || core.feed(di).is_err();
+        })?;
+        if faulted {
+            if !measuring {
+                core.mark_measurement_start();
             }
+            return Ok(core.report("trace-ooo"));
         }
     }
     if !measuring {

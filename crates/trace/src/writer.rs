@@ -4,7 +4,7 @@ use crate::error::TraceError;
 use crate::format::{
     write_frame, TraceFooter, TraceMeta, CHUNK_TARGET, KIND_DATA, KIND_FOOTER, KIND_HEADER, MAGIC,
 };
-use crate::record::TraceRecord;
+use crate::record::{encode, TraceRecord};
 use lis_core::DynInst;
 use std::io::Write;
 
@@ -59,14 +59,14 @@ impl<W: Write> TraceWriter<W> {
         })
     }
 
-    /// Appends one record.
+    /// Appends one published [`DynInst`].
     ///
     /// # Errors
     ///
     /// [`TraceError::Io`] when a full chunk fails to flush.
-    pub fn push(&mut self, rec: &TraceRecord) -> Result<(), TraceError> {
-        rec.encode(&mut self.payload, self.prev_next_pc);
-        self.prev_next_pc = rec.header.next_pc;
+    pub fn push_dyninst(&mut self, di: &DynInst) -> Result<(), TraceError> {
+        encode(di, &mut self.payload, self.prev_next_pc);
+        self.prev_next_pc = di.header.next_pc;
         self.ninsts_in_chunk += 1;
         self.total += 1;
         if self.payload.len() >= self.chunk_target {
@@ -75,13 +75,13 @@ impl<W: Write> TraceWriter<W> {
         Ok(())
     }
 
-    /// Appends one published [`DynInst`].
+    /// Appends one owned record.
     ///
     /// # Errors
     ///
-    /// See [`TraceWriter::push`].
-    pub fn push_dyninst(&mut self, di: &DynInst) -> Result<(), TraceError> {
-        self.push(&TraceRecord::from_dyninst(di))
+    /// See [`TraceWriter::push_dyninst`].
+    pub fn push(&mut self, rec: &TraceRecord) -> Result<(), TraceError> {
+        self.push_dyninst(&rec.to_dyninst())
     }
 
     /// Records written so far.

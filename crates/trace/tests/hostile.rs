@@ -5,7 +5,7 @@
 
 use lis_core::F_OPCODE;
 use lis_trace::{
-    replay_ooo, RecordOptions, ReplayConfig, Trace, TraceError, TraceInfo, TraceWriter,
+    replay_ooo, RecordOptions, ReplayConfig, Trace, TraceError, TraceFooter, TraceInfo, TraceWriter,
 };
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -73,6 +73,41 @@ fn garbage_after_valid_header_is_rejected() {
     let mut corrupt = bytes[..12 + 13 + hdr_len].to_vec();
     corrupt.extend_from_slice(&[0xAB; 40]);
     assert!(Trace::read_from(corrupt.as_slice()).is_err());
+}
+
+#[test]
+fn inflated_record_count_is_truncated_not_an_allocation() {
+    // Regression: the header and first data frame of a valid trace, with
+    // the frame's record count and a re-sealed footer's both claiming
+    // u32::MAX records. Every CRC is valid and the counts agree, so the
+    // file reads; `records` sized its `Vec` from the footer and aborted
+    // the process on a 1.4 TB allocation (`lis trace info` exited 134).
+    // Decoding runs out of payload long before the claimed count.
+    let bytes = valid_trace();
+    let pristine = Trace::read_from(bytes).expect("pristine reads");
+    let hdr_len = u32::from_le_bytes(bytes[13..17].try_into().unwrap()) as usize;
+    let data_frame = 12 + 13 + hdr_len;
+    let data_len =
+        u32::from_le_bytes(bytes[data_frame + 1..data_frame + 5].try_into().unwrap()) as usize;
+    let mut crafted = bytes[..data_frame + 13 + data_len].to_vec();
+    crafted[data_frame + 9..data_frame + 13].copy_from_slice(&u32::MAX.to_le_bytes());
+    let footer = TraceFooter { insts: u64::from(u32::MAX), ..pristine.footer };
+    let payload = footer.encode();
+    crafted.push(b'F');
+    crafted.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    crafted.extend_from_slice(&lis_trace::crc32(&payload).to_le_bytes());
+    crafted.extend_from_slice(&0u32.to_le_bytes());
+    crafted.extend_from_slice(&payload);
+
+    let trace = Trace::read_from(crafted.as_slice()).expect("CRCs and counts agree");
+    assert_eq!(trace.insts(), u64::from(u32::MAX));
+    assert!(matches!(TraceInfo::scan(crafted.as_slice()), Err(TraceError::Truncated)));
+    assert!(trace.records(None).is_err());
+    let spec = lis_workloads::spec_of("alpha");
+    assert!(matches!(
+        replay_ooo(spec, &trace, &ReplayConfig::default()),
+        Err(TraceError::Truncated)
+    ));
 }
 
 /// `valid_trace()` re-written through the public writer, with the opcode
