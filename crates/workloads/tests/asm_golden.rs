@@ -1,11 +1,12 @@
 //! Pins the assemblers' and disassemblers' output.
 //!
 //! For every suite kernel this records the assembled image's
-//! [`Image::content_hash`] and a hash of its disassembly listing (one line
-//! per `.text` word, in the format `lis disasm` prints). For fifty generated
-//! programs per ISA it records the image hash. A change to an assembler or a
-//! disassembler that is meant to be behavior-preserving must leave the
-//! committed `asm_golden.txt` unchanged.
+//! [`Image::content_hash`], a hash of its disassembly listing (one line per
+//! `.text` word, in the format `lis disasm` prints) and a hash of its symbol
+//! table. For fifty generated programs per ISA it records the image and
+//! symbol hashes. A change to an assembler or a disassembler that is meant
+//! to be behavior-preserving must leave the committed `asm_golden.txt`
+//! unchanged.
 //!
 //! Regenerate the file (only for an intended encoding or syntax change) with
 //! `cargo test -p lis-workloads --test asm_golden -- --ignored`.
@@ -42,6 +43,14 @@ fn hash(text: &str) -> u64 {
     h.finish()
 }
 
+/// A hash of `image`'s symbols as sorted `name=addr` lines:
+/// [`Image::content_hash`] leaves them out.
+fn symbols(image: &Image) -> u64 {
+    let mut syms: Vec<_> = image.symbols.iter().collect();
+    syms.sort();
+    hash(&syms.iter().map(|(name, addr)| format!("{name}={addr:#x}\n")).collect::<String>())
+}
+
 /// One line per suite kernel, then one per generated program.
 fn render() -> String {
     let mut out = String::new();
@@ -51,11 +60,12 @@ fn render() -> String {
             let text = listing(isa, &image);
             writeln!(
                 out,
-                "kernel {isa} {} image={:016x} listing={:016x} words={}",
+                "kernel {isa} {} image={:016x} listing={:016x} words={} symbols={:016x}",
                 w.name,
                 image.content_hash(),
                 hash(&text),
-                text.lines().count()
+                text.lines().count(),
+                symbols(&image)
             )
             .unwrap();
         }
@@ -64,7 +74,9 @@ fn render() -> String {
         for seed in 0..SEEDS {
             let src = gen::random_program(isa, seed, GEN_LEN);
             let image = assemble_source(isa, &src).expect("generated program assembles");
-            writeln!(out, "random {isa} {seed} image={:016x}", image.content_hash()).unwrap();
+            let (image_hash, syms) = (image.content_hash(), symbols(&image));
+            writeln!(out, "random {isa} {seed} image={image_hash:016x} symbols={syms:016x}")
+                .unwrap();
         }
     }
     out
