@@ -7,7 +7,7 @@
 //! an ISA encodes and prints itself are its [`Slot::Custom`] ones, through
 //! [`IsaAssembler::encode_custom`] and [`IsaAssembler::print_custom`].
 
-use crate::{EncodeCtx, IsaAssembler, Operand};
+use crate::{EncodeCtx, IsaAssembler, Operand, Reg};
 use lis_core::{Field, InstDef, Slot, Suffix};
 use std::sync::OnceLock;
 
@@ -126,18 +126,23 @@ fn active_suffix(def: &InstDef, slot: &Slot) -> Option<&'static Suffix> {
     }
 }
 
-fn reg<A: IsaAssembler + ?Sized>(isa: &A, op: &Operand) -> Result<u32, String> {
+fn reg(op: &Operand<'_>) -> Result<u32, String> {
     match op {
-        Operand::Reg(name) => named_reg(isa, name),
+        Operand::Reg(r) => slot_reg(r),
         _ => Err("expected a register".into()),
     }
 }
 
-fn named_reg<A: IsaAssembler + ?Sized>(isa: &A, name: &str) -> Result<u32, String> {
-    isa.reg(name).map(u32::from).ok_or_else(|| format!("`{name}` is not a register here"))
+/// The number of `r`, which the parser resolved, if a register slot takes it.
+fn slot_reg(r: &Reg<'_>) -> Result<u32, String> {
+    if r.other {
+        Err(format!("`{}` is not a register here", r.name.to_ascii_lowercase()))
+    } else {
+        Ok(u32::from(r.num))
+    }
 }
 
-fn imm(op: &Operand) -> Result<i64, String> {
+fn imm(op: &Operand<'_>) -> Result<i64, String> {
     op.imm().ok_or_else(|| "expected an immediate".into())
 }
 
@@ -159,18 +164,11 @@ fn unsigned(f: Field, v: i64) -> Result<u32, String> {
 }
 
 /// Encodes one operand by a slot that takes exactly one operand.
-fn place<A: IsaAssembler + ?Sized>(
-    isa: &A,
-    slot: Slot,
-    op: &Operand,
-    ctx: &EncodeCtx<'_>,
-) -> Result<u32, String> {
+fn place(slot: Slot, op: &Operand<'_>, ctx: &EncodeCtx<'_>) -> Result<u32, String> {
     match slot {
-        Slot::Reg(f) => Ok(f.put(reg(isa, op)?)),
+        Slot::Reg(f) => Ok(f.put(reg(op)?)),
         Slot::Indirect(f) => match op {
-            Operand::BaseDisp { disp: 0, base } | Operand::Reg(base) => {
-                Ok(f.put(named_reg(isa, base)?))
-            }
+            Operand::BaseDisp { disp: 0, base } | Operand::Reg(base) => Ok(f.put(slot_reg(base)?)),
             _ => Err("expected `(reg)`".into()),
         },
         Slot::SImm(f) => signed(f, imm(op)?),
@@ -180,13 +178,13 @@ fn place<A: IsaAssembler + ?Sized>(
             v => signed(f, v),
         },
         Slot::RegOrLit { reg: r, lit, flag } => match op {
-            Operand::Reg(_) => Ok(r.put(reg(isa, op)?)),
+            Operand::Reg(_) => Ok(r.put(reg(op)?)),
             Operand::Imm(v) => Ok(unsigned(lit, *v)? | flag.put(1)),
             _ => Err("expected a register or a literal".into()),
         },
         Slot::Disp { disp, base, zero, update } => {
             let (d, b) = match op {
-                Operand::BaseDisp { disp, base } => (*disp, named_reg(isa, base)?),
+                Operand::BaseDisp { disp, base } => (*disp, slot_reg(base)?),
                 Operand::Imm(addr) => (*addr, u32::from(zero)),
                 _ => return Err("expected `disp(base)` or an absolute address".into()),
             };
@@ -216,7 +214,7 @@ fn place<A: IsaAssembler + ?Sized>(
 pub fn encode<A: IsaAssembler + ?Sized>(
     isa: &A,
     (def, suffixes): (&InstDef, u32),
-    ops: &[Operand],
+    ops: &[Operand<'_>],
     ctx: &EncodeCtx<'_>,
 ) -> Result<u32, String> {
     let mut word = def.bits | suffixes;
@@ -234,7 +232,7 @@ pub fn encode<A: IsaAssembler + ?Sized>(
                 let n = match rest {
                     [op, tail @ ..] if rest.len() > needed => {
                         rest = tail;
-                        reg(isa, op)?
+                        reg(op)?
                     }
                     _ => u32::from(default),
                 };
@@ -244,7 +242,7 @@ pub fn encode<A: IsaAssembler + ?Sized>(
                 let [op, tail @ ..] = rest else {
                     return Err(format!("`{}` is missing an operand", def.name));
                 };
-                word |= place(isa, slot, op, ctx)?;
+                word |= place(slot, op, ctx)?;
                 rest = tail;
             }
         }

@@ -1,6 +1,7 @@
 //! Property tests for the constant-expression evaluator: generated
 //! expression trees must evaluate exactly as the equivalent Rust
-//! computation, and rendering must round-trip through the parser.
+//! computation, wrapping at 64 bits, and rendering must round-trip through
+//! the parser.
 
 use lis_asm::{eval, SymTab};
 use proptest::prelude::*;
@@ -9,19 +10,26 @@ use proptest::prelude::*;
 #[derive(Debug, Clone)]
 enum Node {
     Num(u32),
+    /// `0x8000000000000000`: the one dividend whose quotient by -1 overflows.
+    Min,
     Sym(&'static str),
     Neg(Box<Node>),
     Not(Box<Node>),
     Bin(char, Box<Node>, Box<Node>),
     Shl(Box<Node>, u8),
     Shr(Box<Node>, u8),
+    /// `/` or `%` by a nonzero constant.
+    Div(char, Box<Node>, i64),
 }
 
 const SYMS: [(&str, u64); 3] = [("alpha", 0x1000), ("beta_2", 7), ("x.y", 0xffff_0001)];
 
+const DIVISORS: [i64; 8] = [-1, 1, 2, 3, -5, 7, 1000, 0x1_0000];
+
 fn node() -> impl Strategy<Value = Node> {
     let leaf = prop_oneof![
         (0u32..1_000_000).prop_map(Node::Num),
+        Just(Node::Min),
         (0usize..3).prop_map(|i| Node::Sym(SYMS[i].0)),
     ];
     leaf.prop_recursive(4, 32, 3, |inner| {
@@ -35,7 +43,13 @@ fn node() -> impl Strategy<Value = Node> {
             )
                 .prop_map(|(op, a, b)| Node::Bin(op, Box::new(a), Box::new(b))),
             (inner.clone(), 0u8..16).prop_map(|(n, s)| Node::Shl(Box::new(n), s)),
-            (inner, 0u8..16).prop_map(|(n, s)| Node::Shr(Box::new(n), s)),
+            (inner.clone(), 0u8..16).prop_map(|(n, s)| Node::Shr(Box::new(n), s)),
+            (
+                proptest::sample::select(vec!['/', '%']),
+                inner,
+                proptest::sample::select(DIVISORS.to_vec())
+            )
+                .prop_map(|(op, n, d)| Node::Div(op, Box::new(n), d)),
         ]
     })
 }
@@ -43,18 +57,21 @@ fn node() -> impl Strategy<Value = Node> {
 fn render(n: &Node) -> String {
     match n {
         Node::Num(v) => format!("{v}"),
+        Node::Min => "0x8000000000000000".to_string(),
         Node::Sym(s) => (*s).to_string(),
         Node::Neg(a) => format!("(-{})", render(a)),
         Node::Not(a) => format!("(~{})", render(a)),
         Node::Bin(op, a, b) => format!("({} {op} {})", render(a), render(b)),
         Node::Shl(a, s) => format!("({} << {s})", render(a)),
         Node::Shr(a, s) => format!("({} >> {s})", render(a)),
+        Node::Div(op, a, d) => format!("({} {op} {d})", render(a)),
     }
 }
 
 fn model(n: &Node) -> i64 {
     match n {
         Node::Num(v) => *v as i64,
+        Node::Min => i64::MIN,
         Node::Sym(s) => SYMS.iter().find(|(name, _)| name == s).unwrap().1 as i64,
         Node::Neg(a) => model(a).wrapping_neg(),
         Node::Not(a) => !model(a),
@@ -67,11 +84,13 @@ fn model(n: &Node) -> i64 {
         Node::Bin(op, ..) => unreachable!("operator {op}"),
         Node::Shl(a, s) => model(a).wrapping_shl(*s as u32),
         Node::Shr(a, s) => ((model(a) as u64) >> s) as i64,
+        Node::Div('/', a, d) => model(a).wrapping_div(*d),
+        Node::Div(_, a, d) => model(a).wrapping_rem(*d),
     }
 }
 
-fn symtab() -> SymTab {
-    SYMS.iter().map(|(n, v)| (n.to_string(), *v)).collect()
+fn symtab() -> SymTab<'static> {
+    SYMS.into_iter().collect()
 }
 
 proptest! {

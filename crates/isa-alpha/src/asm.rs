@@ -9,7 +9,7 @@
 
 use crate::regs::{parse_reg, reg_name};
 use crate::semantics::INSTS;
-use lis_asm::{EncodeCtx, IsaAssembler, Operand, Table};
+use lis_asm::{EncodeCtx, IsaAssembler, Operand, Reg, Table};
 use lis_mem::Endian;
 
 /// The Alpha [`IsaAssembler`].
@@ -17,9 +17,9 @@ use lis_mem::Endian;
 pub struct AlphaAsm;
 
 /// The register that reads as zero.
-fn zero() -> Operand {
-    Operand::Reg("r31".into())
-}
+const ZERO: Operand<'static> = Operand::Reg(Reg { name: "r31", num: 31, other: false });
+/// The return-address register.
+const RA: Operand<'static> = Operand::Reg(Reg { name: "r26", num: 26, other: false });
 
 impl IsaAssembler for AlphaAsm {
     fn name(&self) -> &'static str {
@@ -43,23 +43,28 @@ impl IsaAssembler for AlphaAsm {
         reg_name(n)
     }
 
-    fn encode_pseudo(&self, mn: &str, ops: &[Operand], ctx: &EncodeCtx<'_>) -> Result<u32, String> {
-        let real = |name: &str, ops: &[Operand]| self.encode(name, ops, ctx);
+    fn encode_pseudo(
+        &self,
+        mn: &str,
+        ops: &[Operand<'_>],
+        ctx: &EncodeCtx<'_>,
+    ) -> Result<u32, String> {
+        let real = |name: &str, ops: &[Operand<'_>]| self.encode(name, ops, ctx);
         match (mn, ops) {
-            ("nop" | "unop", []) => real("bis", &[zero(), zero(), zero()]),
-            ("clr", [rc]) => real("bis", &[zero(), zero(), rc.clone()]),
+            ("nop" | "unop", []) => real("bis", &[ZERO, ZERO, ZERO]),
+            ("clr", [rc]) => real("bis", &[ZERO, ZERO, *rc]),
             // bis's literal when the value fits it, else lda's displacement.
-            ("mov", [src, rc]) => real("bis", &[zero(), src.clone(), rc.clone()]).or_else(|e| {
+            ("mov", [src, rc]) => real("bis", &[ZERO, *src, *rc]).or_else(|e| {
                 let Operand::Imm(v) = src else { return Err(e) };
-                real("lda", &[rc.clone(), Operand::Imm(*v)])
+                real("lda", &[*rc, Operand::Imm(*v)])
                     .map_err(|_| "mov immediate out of range (use lda/ldah)".into())
             }),
-            ("negq", [rb, rc]) => real("subq", &[zero(), rb.clone(), rc.clone()]),
+            ("negq", [rb, rc]) => real("subq", &[ZERO, *rb, *rc]),
             // ret [ra,] [(rb)] — defaults ra=r31, rb=r26.
-            ("ret", []) => real("jmp", &[zero(), Operand::Reg("r26".into())]),
-            ("ret", [rb]) => real("jmp", &[zero(), rb.clone()]),
+            ("ret", []) => real("jmp", &[ZERO, RA]),
+            ("ret", [rb]) => real("jmp", &[ZERO, *rb]),
             // jsr [ra,] (rb) — default ra=r26.
-            ("jsr", [rb]) => real("jmp", &[Operand::Reg("r26".into()), rb.clone()]),
+            ("jsr", [rb]) => real("jmp", &[RA, *rb]),
             ("ret" | "jsr", [_, _]) => real("jmp", ops),
             ("nop" | "unop" | "clr" | "mov" | "negq" | "ret" | "jsr", _) => {
                 Err(format!("wrong number of operands for `{mn}`"))

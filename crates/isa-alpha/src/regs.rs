@@ -42,6 +42,35 @@ pub const REG_NAMES: &[&str] = &[
     "zero",
 ];
 
+/// A name of at most four bytes packed with its length into one integer,
+/// as [`ALIAS_KEYS`] holds the aliases.
+const fn alias_key(name: &[u8]) -> Option<u64> {
+    if name.len() > 4 {
+        return None;
+    }
+    let mut key = (name.len() as u64) << 32;
+    let mut i = 0;
+    while i < name.len() {
+        key |= (name[i] as u64) << (8 * i);
+        i += 1;
+    }
+    Some(key)
+}
+
+/// [`REG_NAMES`], packed: one compare per alias.
+const ALIAS_KEYS: [u64; 32] = {
+    let mut keys = [0; 32];
+    let mut i = 0;
+    while i < 32 {
+        keys[i] = match alias_key(REG_NAMES[i].as_bytes()) {
+            Some(key) => key,
+            None => panic!("register aliases fit in four bytes"),
+        };
+        i += 1;
+    }
+    keys
+};
+
 /// Parses a register name (already lower-cased): `rN`, `$N`, or an alias.
 pub fn parse_reg(name: &str) -> Option<u16> {
     if let Some(n) = name.strip_prefix('r').or_else(|| name.strip_prefix('$')) {
@@ -51,7 +80,8 @@ pub fn parse_reg(name: &str) -> Option<u16> {
             }
         }
     }
-    REG_NAMES.iter().position(|&a| a == name).map(|i| i as u16)
+    let key = alias_key(name.as_bytes())?;
+    ALIAS_KEYS.iter().position(|&k| k == key).map(|i| i as u16)
 }
 
 /// The canonical display name for register `idx`.
@@ -83,5 +113,12 @@ mod tests {
         assert_eq!(parse_reg("r32"), None);
         assert_eq!(parse_reg("x1"), None);
         assert_eq!(REG_NAMES.len(), 32);
+        for (i, name) in REG_NAMES.iter().enumerate() {
+            assert_eq!(parse_reg(name), Some(i as u16), "{name}");
+        }
+        // An empty name packs like no alias; a longer one is none.
+        assert_eq!(parse_reg(""), None);
+        assert_eq!(parse_reg("zero0"), None);
+        assert_eq!(parse_reg("t1\0"), None);
     }
 }

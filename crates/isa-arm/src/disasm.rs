@@ -2,7 +2,7 @@
 //! instruction-table entry declares. This file prints the custom operands:
 //! the shifter, the two addressing modes, and the `mov`/`mvn` destination.
 
-use crate::asm::{ArmAsm, SHIFT_KINDS};
+use crate::asm::ArmAsm;
 use crate::regs::reg_name;
 use crate::semantics::{
     ADDR, ADDR_H, H_IMM_BIT, IMM8, I_BIT, MOVE_RD, OFF12, OFF_HI, OFF_LO, P_BIT, RD, RM, RN,
@@ -18,7 +18,7 @@ fn reg(f: Field, word: u32) -> String {
 /// The register form of the shifter: `rm`, `rm, <shift> #n` or `rm, <shift> rs`.
 fn reg_shift(word: u32) -> String {
     let rm = reg(RM, word);
-    let kind = SHIFT_KINDS[SHIFT_KIND.get(word) as usize];
+    let kind = lis_asm::SHIFTS[SHIFT_KIND.get(word) as usize];
     if SHIFT_BY_REG.get(word) != 0 {
         format!("{rm}, {kind} {}", reg(RS, word))
     } else {

@@ -13,7 +13,7 @@
 
 use crate::regs::{parse_crf, parse_reg, reg_name, SPRS};
 use crate::semantics::{CRF, CR_FIELD, INSTS, SPR, SPR_HI, SPR_LO};
-use lis_asm::{EncodeCtx, IsaAssembler, Line, Operand, Table};
+use lis_asm::{EncodeCtx, IsaAssembler, Line, Operand, Reg, Table};
 use lis_mem::Endian;
 
 /// The PowerPC [`IsaAssembler`].
@@ -33,8 +33,11 @@ const COND_BRANCHES: &[(&str, i64, i64)] = &[
 ];
 
 /// The CR field `op` names, if it names one.
-fn cr_field(op: &Operand) -> Option<u16> {
-    op.reg().and_then(parse_crf)
+fn cr_field(op: &Operand<'_>) -> Option<u16> {
+    match op {
+        Operand::Reg(r) if r.other => Some(r.num),
+        _ => None,
+    }
 }
 
 /// The number of the SPR `name` names (`lr`, `ctr`, `xer`).
@@ -51,10 +54,6 @@ impl IsaAssembler for PpcAsm {
         Endian::Big
     }
 
-    fn is_reg(&self, name: &str) -> bool {
-        parse_reg(name).is_some() || parse_crf(name).is_some()
-    }
-
     fn table(&self) -> &'static Table {
         static TABLE: Table = Table::new(INSTS);
         &TABLE
@@ -64,37 +63,43 @@ impl IsaAssembler for PpcAsm {
         parse_reg(name)
     }
 
+    fn other_reg(&self, name: &str) -> Option<u16> {
+        parse_crf(name)
+    }
+
     fn reg_name(&self, n: u16) -> String {
         reg_name(n)
     }
 
-    fn encode_pseudo(&self, mn: &str, ops: &[Operand], ctx: &EncodeCtx<'_>) -> Result<u32, String> {
-        let real = |name: &str, ops: &[Operand]| self.encode(name, ops, ctx);
-        let r0 = || Operand::Reg("r0".into());
+    fn encode_pseudo(
+        &self,
+        mn: &str,
+        ops: &[Operand<'_>],
+        ctx: &EncodeCtx<'_>,
+    ) -> Result<u32, String> {
+        let real = |name: &str, ops: &[Operand<'_>]| self.encode(name, ops, ctx);
+        let r0 = Operand::Reg(Reg { name: "r0", num: 0, other: false });
         let imm = Operand::Imm;
         let wrong = || Err(format!("wrong number of operands for `{mn}`"));
         let unknown = || Err(format!("unknown mnemonic `{mn}`"));
 
         // Pseudo-instructions that keep the record form.
-        let (base, dot) = mn.strip_suffix('.').map_or((mn, ""), |b| (b, "."));
+        let (base, dot) = mn.strip_suffix('.').map_or((mn, false), |b| (b, true));
+        let record = |plain, dotted| if dot { dotted } else { plain };
         match (base, ops) {
-            ("mr", [ra, rs]) => {
-                return real(&format!("or{dot}"), &[ra.clone(), rs.clone(), rs.clone()])
-            }
-            ("not", [ra, rs]) => {
-                return real(&format!("nor{dot}"), &[ra.clone(), rs.clone(), rs.clone()])
-            }
+            ("mr", [ra, rs]) => return real(record("or", "or."), &[*ra, *rs, *rs]),
+            ("not", [ra, rs]) => return real(record("nor", "nor."), &[*ra, *rs, *rs]),
             ("slwi" | "srwi", [ra, rs, n]) => {
                 let n = &n.imm().ok_or("expected a shift amount")?;
                 if !(0..32).contains(n) {
                     return Err(format!("shift {n} out of range 0..32"));
                 }
                 let (sh, mb, me) = if base == "slwi" { (*n, 0, 31 - n) } else { (32 - n, *n, 31) };
-                let ops = [ra.clone(), rs.clone(), imm(sh % 32), imm(mb), imm(me)];
-                return real(&format!("rlwinm{dot}"), &ops);
+                let ops = [*ra, *rs, imm(sh % 32), imm(mb), imm(me)];
+                return real(record("rlwinm", "rlwinm."), &ops);
             }
             ("mr" | "not" | "slwi" | "srwi", _) => return wrong(),
-            _ if !dot.is_empty() => return unknown(),
+            _ if dot => return unknown(),
             _ => {}
         }
 
@@ -105,28 +110,28 @@ impl IsaAssembler for PpcAsm {
                 [crf, target] => (cr_field(crf).ok_or("expected a CR field (cr0..cr7)")?, target),
                 _ => return wrong(),
             };
-            return real("bc", &[imm(bo), imm(i64::from(crf) * 4 + bit), target.clone()]);
+            return real("bc", &[imm(bo), imm(i64::from(crf) * 4 + bit), *target]);
         }
 
         match (mn, ops) {
-            ("nop", []) => real("ori", &[r0(), r0(), imm(0)]),
-            ("li", [rd, v]) => real("addi", &[rd.clone(), r0(), v.clone()]),
-            ("lis", [rd, v]) => real("addis", &[rd.clone(), r0(), v.clone()]),
+            ("nop", []) => real("ori", &[r0, r0, imm(0)]),
+            ("li", [rd, v]) => real("addi", &[*rd, r0, *v]),
+            ("lis", [rd, v]) => real("addis", &[*rd, r0, *v]),
             ("la", [rd, Operand::BaseDisp { disp, base }]) => {
-                real("addi", &[rd.clone(), Operand::Reg(base.clone()), imm(*disp)])
+                real("addi", &[*rd, Operand::Reg(*base), imm(*disp)])
             }
-            ("subi", [rd, ra, Operand::Imm(v)]) => real("addi", &[rd.clone(), ra.clone(), imm(-v)]),
+            ("subi", [rd, ra, Operand::Imm(v)]) => real("addi", &[*rd, *ra, imm(v.wrapping_neg())]),
             ("blr", []) => real("bclr", &[imm(20), imm(0)]),
             ("blrl", []) => real("bclrl", &[imm(20), imm(0)]),
             ("bctr", []) => real("bcctr", &[imm(20), imm(0)]),
             ("bctrl", []) => real("bcctrl", &[imm(20), imm(0)]),
-            ("bdnz", [target]) => real("bc", &[imm(16), imm(0), target.clone()]),
-            ("bdz", [target]) => real("bc", &[imm(18), imm(0), target.clone()]),
+            ("bdnz", [target]) => real("bc", &[imm(16), imm(0), *target]),
+            ("bdz", [target]) => real("bc", &[imm(18), imm(0), *target]),
             ("mflr" | "mfctr" | "mfxer", [rd]) => {
-                real("mfspr", &[rd.clone(), imm(spr_named(&mn[2..]).unwrap_or_default())])
+                real("mfspr", &[*rd, imm(spr_named(&mn[2..]).unwrap_or_default())])
             }
             ("mtlr" | "mtctr" | "mtxer", [rs]) => {
-                real("mtspr", &[imm(spr_named(&mn[2..]).unwrap_or_default()), rs.clone()])
+                real("mtspr", &[imm(spr_named(&mn[2..]).unwrap_or_default()), *rs])
             }
             (
                 "nop" | "li" | "lis" | "la" | "subi" | "blr" | "blrl" | "bctr" | "bctrl" | "bdnz"
@@ -140,7 +145,7 @@ impl IsaAssembler for PpcAsm {
     fn encode_custom(
         &self,
         kind: u8,
-        ops: &[Operand],
+        ops: &[Operand<'_>],
         _ctx: &EncodeCtx<'_>,
     ) -> Result<(u32, usize), String> {
         match (kind, ops.first()) {

@@ -40,8 +40,9 @@ pub(crate) const ILLEGAL: u16 = u16::MAX;
 /// Maximum predecoded basic-block length in instructions.
 pub const DEFAULT_MAX_BLOCK: usize = 64;
 
-/// Default stack top used by [`Simulator::load_program`].
-pub const STACK_TOP: u64 = 0x00f0_0000;
+/// Default stack top used by [`Simulator::load_program`]; the assembler
+/// keeps every image below it.
+pub use lis_mem::STACK_TOP;
 
 /// Execution backend (the binary-translation analog).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
