@@ -2,6 +2,11 @@
 //! shared [`ArtifactStore`] + [`Scheduler`] behind them, and a graceful
 //! drain on `shutdown` frames or SIGTERM/SIGINT.
 //!
+//! The accept loop blocks in `accept`, so a new connection is served at
+//! once. Whatever requests shutdown then wakes it by connecting to the
+//! listener's own address: the `shutdown` handler, or the thread that
+//! watches the signal flag.
+//!
 //! Blast-radius model, inside out: a panicking request is caught twice
 //! (handler `catch_cell` and the worker's own) and becomes an `ok:false`
 //! response; a malformed frame becomes a typed protocol error on the same
@@ -57,16 +62,18 @@ struct ServerState {
     store: Arc<ArtifactStore>,
     sched: Arc<Scheduler>,
     deadline: Option<Duration>,
-    /// Set by a `shutdown` frame or a termination signal; every loop in the
-    /// daemon polls it.
+    /// Set by a `shutdown` frame or a termination signal; the session loops
+    /// poll it, and the accept loop is woken to see it ([`wake`]).
     shutdown: AtomicBool,
+    /// The listener's address, which [`wake`] connects to.
+    addr: std::net::SocketAddr,
     sessions_total: AtomicU64,
     sessions_active: AtomicUsize,
     started: Instant,
 }
 
-/// Signal flag: set from the SIGTERM/SIGINT handler, polled by the accept
-/// loop. Process-global by nature (signals are).
+/// Signal flag: set from the SIGTERM/SIGINT handler, watched by
+/// [`watch_signals`]. Process-global by nature (signals are).
 static TERM_REQUESTED: AtomicBool = AtomicBool::new(false);
 
 #[cfg(unix)]
@@ -105,13 +112,14 @@ impl Server {
     /// Propagates the bind failure (address in use, bad address, ...).
     pub fn bind(cfg: &ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.listen)?;
-        listener.set_nonblocking(true)?;
+        let addr = listener.local_addr()?;
         let workers = lis_harness::resolve_jobs(cfg.jobs, crate::scheduler::QUEUE_LIMIT);
         let state = Arc::new(ServerState {
             store: Arc::new(ArtifactStore::new()),
             sched: Arc::new(Scheduler::new(workers)),
             deadline: cfg.deadline,
             shutdown: AtomicBool::new(false),
+            addr,
             sessions_total: AtomicU64::new(0),
             sessions_active: AtomicUsize::new(0),
             started: Instant::now(),
@@ -135,12 +143,18 @@ impl Server {
     /// directory).
     pub fn run(self) -> u8 {
         install_term_handler();
-        while !self.state.shutdown.load(Ordering::SeqCst) {
-            if TERM_REQUESTED.load(Ordering::SeqCst) {
-                self.state.shutdown.store(true, Ordering::SeqCst);
+        let watcher = {
+            let state = Arc::clone(&self.state);
+            std::thread::Builder::new()
+                .name("lis-serve-signals".to_string())
+                .spawn(move || watch_signals(&state))
+        };
+        loop {
+            let accepted = self.listener.accept();
+            if self.state.shutdown.load(Ordering::SeqCst) {
                 break;
             }
-            match self.listener.accept() {
+            match accepted {
                 Ok((stream, _addr)) => {
                     let n = self.state.sessions_total.fetch_add(1, Ordering::SeqCst);
                     self.state.sessions_active.fetch_add(1, Ordering::SeqCst);
@@ -152,11 +166,12 @@ impl Server {
                             state.sessions_active.fetch_sub(1, Ordering::SeqCst);
                         });
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(25));
-                }
+                // Out of descriptors and the like: back off, then accept again.
                 Err(_) => std::thread::sleep(Duration::from_millis(25)),
             }
+        }
+        if let Ok(watcher) = watcher {
+            let _ = watcher.join();
         }
         // Drain: no new submissions, wait for the queue and in-flight jobs.
         let report = self.state.sched.drain(self.drain_deadline);
@@ -181,6 +196,26 @@ impl Server {
         } else {
             EXIT_ABANDONED
         }
+    }
+}
+
+/// Wakes the accept loop after a shutdown request, by connecting to the
+/// listener: `accept` returns, and the loop sees the shutdown flag.
+fn wake(state: &ServerState) {
+    let _ = TcpStream::connect_timeout(&state.addr, Duration::from_secs(1));
+}
+
+/// Turns a termination signal into a shutdown request that wakes the
+/// accept loop; returns once the daemon is shutting down either way. The
+/// signal handler itself may only set a flag, so this thread checks it.
+fn watch_signals(state: &ServerState) {
+    while !state.shutdown.load(Ordering::SeqCst) {
+        if TERM_REQUESTED.load(Ordering::SeqCst) {
+            state.shutdown.store(true, Ordering::SeqCst);
+            wake(state);
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(50));
     }
 }
 
@@ -308,6 +343,7 @@ fn handle_line(line: &str, out: &mut TcpStream, state: &ServerState) -> bool {
         }
         Request::Shutdown => {
             state.shutdown.store(true, Ordering::SeqCst);
+            wake(state);
             let mut o = JsonObj::new();
             o.bool("draining", true);
             let resp = protocol::response(frame.id, cmd, 0, None, &o.finish());
